@@ -48,7 +48,6 @@ func main() {
 		gate     = flag.Bool("gate", false, "with -compare: exit nonzero when any metric regresses beyond threshold")
 		slack    = flag.Float64("slack", 1, "with -compare: multiply every noise threshold (use >1 on noisy runners)")
 		topk     = flag.Int("topk", 0, "node budget of the streaming top-k eval leg (0: default 16, negative: disable)")
-		refEval  = flag.Bool("ref-eval", false, "run approximate-eval legs through the reference (pre-fast-path) enumeration; accuracy metrics must match a fast-path run bit-for-bit")
 		olSec    = flag.Float64("openloop-seconds", 0, "open-loop overload leg duration per dataset (0: scale default, negative: disable)")
 		olOver   = flag.Float64("openloop-overload", 0, "open-loop offered load as a multiple of measured capacity (0: default 1.5)")
 		updOps   = flag.Int("update-ops", 0, "live-update leg: seeded insert/delete ops absorbed per dataset before the accuracy check and compaction (0: scale default, negative: disable)")
@@ -107,7 +106,6 @@ func main() {
 		cfg.WorkloadSize = *workload
 	}
 	cfg.TopKLimit = *topk
-	cfg.ReferenceEval = *refEval
 	cfg.OpenLoopSeconds = *olSec
 	cfg.OpenLoopOverload = *olOver
 	cfg.UpdateOps = *updOps

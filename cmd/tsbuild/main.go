@@ -26,7 +26,6 @@ func main() {
 		uh       = flag.Int("uh", 10000, "candidate-pool upper bound Uh")
 		lh       = flag.Int("lh", 100, "candidate-pool lower bound Lh")
 		workers  = flag.Int("workers", 0, "candidate-evaluation workers (0 = GOMAXPROCS); the synopsis is identical for any value")
-		increfil = flag.Bool("incremental-refill", false, "restock a depleted pool incrementally instead of the paper's full CreatePool regenerate")
 		verbose  = flag.Bool("v", false, "report construction progress milestones")
 	)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine)
@@ -50,11 +49,10 @@ func main() {
 		st.NumNodes(), float64(st.SizeBytes())/1024, time.Since(t0).Seconds())
 
 	opts := tsbuild.Options{
-		BudgetBytes:       *budgetKB << 10,
-		HeapUpper:         *uh,
-		HeapLower:         *lh,
-		Workers:           *workers,
-		IncrementalRefill: *increfil,
+		BudgetBytes: *budgetKB << 10,
+		HeapUpper:   *uh,
+		HeapLower:   *lh,
+		Workers:     *workers,
 	}
 	if *verbose {
 		opts.Progress = func(e tsbuild.ProgressEvent) {
@@ -73,8 +71,8 @@ func main() {
 		stats.Merges, stats.PoolBuilds, stats.PairEvals, stats.Elapsed.Seconds())
 	fmt.Printf("heap:           %d pushes, %d evictions, max size %d, %d stale pops\n",
 		stats.HeapPushes, stats.HeapEvictions, stats.MaxHeapSize, stats.StalePops)
-	fmt.Printf("pool upkeep:    %d reevals, %d rebuilds, %d replenishes, %d truncated\n",
-		stats.Reevals, stats.PoolRebuilds, stats.PoolReplenishes, stats.PoolTruncated)
+	fmt.Printf("pool upkeep:    %d reevals, %d rebuilds, %d truncated\n",
+		stats.Reevals, stats.PoolRebuilds, stats.PoolTruncated)
 	fmt.Printf("squared error:  %.1f\n", stats.FinalSqErr)
 
 	if *out != "" {

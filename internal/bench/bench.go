@@ -64,11 +64,6 @@ type Config struct {
 	// measuring best-first emission latency under this budget. 0 selects
 	// the default 16; negative disables the leg.
 	TopKLimit int `json:"topk_limit,omitempty"`
-	// ReferenceEval runs the approximate-evaluation legs through the
-	// pre-fast-path reference enumeration (eval.Options.Reference). Useful
-	// for measuring what the plan-driven fast path buys: accuracy metrics
-	// must be bit-identical between the two modes, only latency may differ.
-	ReferenceEval bool `json:"reference_eval,omitempty"`
 	// ServeSeconds is how long the under-load serving leg drives each
 	// dataset's tsserve instance with closed-loop concurrent clients.
 	// 0 selects a scale-appropriate default; negative disables the leg.
@@ -368,7 +363,7 @@ func benchDataset(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds 
 		// error computations are seed-deterministic, one pass suffices);
 		// the recorded passes then time only the evaluation itself.
 		hApprox := reg.Histogram(fmt.Sprintf("bench.%s.%02dkb.approx_latency_seconds", metricname.Clean(ds), budgetKB))
-		evalOpts := eval.Options{Reference: cfg.ReferenceEval}
+		evalOpts := eval.Options{}
 		approxCounters0 := counterTotals(reg, "eval.approx.")
 		var errSum, esdSum float64
 		n := 0
@@ -411,7 +406,7 @@ func benchDataset(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds 
 		// counter deltas and the mean truncation bound ride along as context.
 		if cfg.TopKLimit > 0 {
 			hTopK := reg.Histogram(fmt.Sprintf("bench.%s.%02dkb.topk_latency_seconds", metricname.Clean(ds), budgetKB))
-			topkOpts := eval.Options{Limit: cfg.TopKLimit, Reference: cfg.ReferenceEval}
+			topkOpts := eval.Options{Limit: cfg.TopKLimit}
 			topkCounters0 := counterTotals(reg, "eval.topk.")
 			var boundSum float64
 			finite := 0

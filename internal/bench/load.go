@@ -92,9 +92,9 @@ func benchServe(res *Result, r *exp.Runner, cfg Config, ds string) error {
 		return nil
 	}
 
-	// One sequential warm-up pass primes the plan cache and the HTTP
-	// connection pool, then the timed closed loop runs: each client fires
-	// its next request the moment the previous response lands.
+	// One sequential warm-up pass primes the server's lazily built state
+	// and the HTTP connection pool, then the timed closed loop runs: each
+	// client fires its next request the moment the previous response lands.
 	for _, u := range urls {
 		if err := fetch(u); err != nil {
 			return fmt.Errorf("bench: serve leg warm-up: %w", err)

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
@@ -25,10 +24,6 @@ type Options struct {
 	// context deadline) and the final Result is bit-identical to the batch
 	// path, with Result.TopK attached.
 	Limit int
-	// DisablePrune skips the pruning pass that removes result nodes whose
-	// required child variables found no bindings. Pruning is what makes
-	// EvalQuery exact on count-stable synopses; it is on by default.
-	DisablePrune bool
 	// PaperMode reverts evaluation to the paper's Figures 7 and 8
 	// verbatim, switching off two refinements that are otherwise on:
 	//
@@ -41,12 +36,6 @@ type Options struct {
 	// worked example of the paper's Example 4.1 is reproduced exactly
 	// with PaperMode set.
 	PaperMode bool
-	// Reference selects the pre-fast-path embedding enumeration (label-
-	// reachability pruning only, no plan compilation, per-embedding
-	// count walks). It exists for differential testing: on queries that do
-	// not hit the MaxEmbeddings truncation guards, the fast path is
-	// bit-identical to the reference.
-	Reference bool
 	// Metrics receives the evaluation's observability metrics (the
 	// eval.approx.* namespace). Nil selects the process-wide obs.Default
 	// registry.
@@ -75,23 +64,54 @@ func Approx(sk *sketch.Sketch, q *query.Query, opts Options) *Result {
 // context costs one context lookup; the phase spans are inert and read no
 // clocks, leaving the hot enumeration loops untouched.
 func ApproxContext(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options) *Result {
-	opts = opts.withDefaults()
-	if opts.Limit != 0 {
-		return topKWith(ctx, sk, q, opts, !opts.PaperMode, !opts.PaperMode)
-	}
-	return approxWith(ctx, sk, q, opts, !opts.PaperMode, !opts.PaperMode)
+	return newApproxer(ctx, sk, q, opts).eval(ctx)
 }
 
-// approxWith exposes the two refinements independently for tests.
-//
-// The batch path is all-or-nothing: a half-built memo phase is not a usable
-// synopsis, so the enumeration polls ctx under the tickCtx work budget and
-// aborts via the same ctxCanceled panic sentinel the exact evaluator uses,
-// translated here into a Canceled result. A Background context costs one
-// Err() read per ctxCheckEvery work units and can never fire, so batch
-// callers and benchmarks see identical floats (polls compute nothing).
-func approxWith(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options, conditioning, twoMoment bool) (res *Result) {
-	a := newApproxer(ctx, sk, q, opts, conditioning, twoMoment)
+// newApproxer builds the evaluation state shared by the batch and the
+// streaming top-k paths, recording the plan phase (query-variable
+// numbering) as a span on the request trace.
+func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options) *approxer {
+	reg := obs.Or(opts.Metrics)
+	tr := obs.TraceFrom(ctx)
+	ps := tr.StartSpan("eval.plan")
+	a := &approxer{
+		tr:           tr,
+		sk:           sk,
+		q:            q,
+		qnodes:       q.Vars(),
+		qidx:         make(map[*query.Node]int),
+		opts:         opts.withDefaults(),
+		conditioning: !opts.PaperMode,
+		selMemo:      make(map[selKey]float64),
+		resIndex:     make(map[resKey]int),
+		reg:          reg,
+		mEmbeddings:  reg.Counter("eval.approx.embeddings"),
+		mEmbedWork:   reg.Counter("eval.approx.embed_steps"),
+		mSelHits:     reg.Counter("eval.approx.selmemo.hits"),
+		mSelMisses:   reg.Counter("eval.approx.selmemo.misses"),
+		hFanout:      reg.Histogram("eval.approx.fanout"),
+	}
+	for i, qn := range a.qnodes {
+		a.qidx[qn] = i
+	}
+	ps.End()
+	return a
+}
+
+// eval runs the batch evaluation, or the streaming top-k one (topk.go) when
+// Options.Limit is set.
+func (a *approxer) eval(ctx context.Context) *Result {
+	if a.opts.Limit != 0 {
+		return a.topK(ctx)
+	}
+	return a.batch(ctx)
+}
+
+// batch is the all-or-nothing evaluation path: a half-built memo phase is
+// not a usable synopsis, so the enumeration polls ctx under the tickCtx
+// work budget and aborts via the ctxCanceled panic sentinel, translated
+// here into a Canceled result.
+func (a *approxer) batch(ctx context.Context) (res *Result) {
 	a.ctx = ctx
 	span := a.reg.StartSpan("eval.approx.query")
 	a.reg.Counter("eval.approx.queries").Inc()
@@ -109,77 +129,18 @@ func approxWith(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Opt
 		a.reg.Histogram("eval.approx.latency_seconds").Observe(span.End().Seconds())
 		a.flush(res)
 	}()
-	return a.run()
-}
-
-// tickCtx charges n units of enumeration work (synopsis edges walked, memo
-// slots filled, terms folded) against the poll budget and reads ctx.Err()
-// once it is spent; a canceled context aborts the evaluation by panicking
-// with the shared ctxCanceled sentinel, recovered in approxWith. Inert (one
-// nil check) when the evaluation has no cancelable context. The very first
-// charge polls immediately so an already-expired deadline aborts before any
-// synopsis walk.
-func (a *approxer) tickCtx(n int) {
-	if a.ctx == nil {
-		return
-	}
-	first := a.ctxTick == 0
-	a.ctxTick += uint(n)
-	if !first && a.ctxTick < ctxCheckEvery {
-		return
-	}
-	a.ctxTick = 1
-	if a.ctx.Err() != nil {
-		panic(ctxCanceled{})
-	}
-}
-
-// checkCtx charges the minimal one-unit tick; enumeration entry points call
-// it so even scan-free query shapes keep polling.
-func (a *approxer) checkCtx() {
-	a.tickCtx(1)
-}
-
-// newApproxer builds the shared evaluation state for both the batch path
-// (approxWith) and the streaming top-k path (topKWith), recording the plan
-// phase as a span on the request trace.
-func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options, conditioning, twoMoment bool) *approxer {
-	reg := obs.Or(opts.Metrics)
-	tr := obs.TraceFrom(ctx)
-	ps := tr.StartSpan("eval.plan")
-	a := &approxer{
-		tr:           tr,
-		sk:           sk,
-		q:            q,
-		qnodes:       q.Vars(),
-		qidx:         make(map[*query.Node]int),
-		opts:         opts.withDefaults(),
-		reference:    opts.Reference,
-		conditioning: conditioning && !opts.DisablePrune,
-		twoMoment:    twoMoment,
-		selMemo:      make(map[selKey]float64),
-		resIndex:     make(map[resKey]int),
-		reg:          reg,
-		mEmbeddings:  reg.Counter("eval.approx.embeddings"),
-		mEmbedWork:   reg.Counter("eval.approx.embed_steps"),
-		mSelHits:     reg.Counter("eval.approx.selmemo.hits"),
-		mSelMisses:   reg.Counter("eval.approx.selmemo.misses"),
-		hFanout:      reg.Histogram("eval.approx.fanout"),
-	}
-	for i, qn := range a.qnodes {
-		a.qidx[qn] = i
-	}
-	if !a.reference {
-		var cached bool
-		a.plan, cached = planFor(q)
-		if cached {
-			reg.Counter("eval.approx.plan.hits").Inc()
-		} else {
-			reg.Counter("eval.approx.plan.misses").Inc()
-		}
-	}
-	ps.End()
-	return a
+	// The embedding search plus selectivity memoization is the trace's
+	// "memo" phase; everything that shapes the answer synopsis afterwards
+	// is its "emit" phase.
+	ms := a.tr.StartSpan("eval.memo")
+	a.grow(func(rn *RNode, edge *query.Edge) []termK {
+		return a.edgeTerms(rn.Src, edge)
+	})
+	ms.End()
+	es := a.tr.StartSpan("eval.emit")
+	res = a.finish(true)
+	es.End()
+	return res
 }
 
 // flush drains the locally accumulated counters into the registry and the
@@ -218,16 +179,13 @@ func (a *approxer) flush(res *Result) {
 type approxer struct {
 	tr *obs.Trace // request trace; nil (inert) for untraced callers
 
-	// ctx is the evaluation's cancellation signal, armed only on the batch
-	// path (approxWith). ctxTick accumulates enumeration work (synopsis
-	// edges walked, memo slots filled, terms folded) and rate-limits the
-	// Err reads to one per ctxCheckEvery units, the same discipline as the
-	// exact evaluator. The top-k path deliberately leaves ctx nil (every
-	// poll then a single predictable branch): it polls ctx.Err() between
-	// expansions and answers with an honest partial result instead of
-	// aborting, and its per-expansion work is already pool-bounded.
-	ctx     context.Context
-	ctxTick uint
+	// ctxPoll is armed only on the batch path, which sets its ctx; work is
+	// charged per synopsis edge walked, memo slot filled and term folded.
+	// The top-k path deliberately leaves ctx nil (every poll then a single
+	// predictable branch): it polls ctx.Err() between expansions and
+	// answers with an honest partial result instead of aborting, and its
+	// per-expansion work is already pool-bounded.
+	ctxPoll
 
 	sk     *sketch.Sketch
 	q      *query.Query
@@ -235,20 +193,24 @@ type approxer struct {
 	qidx   map[*query.Node]int
 	opts   Options
 
-	reference    bool
+	// conditioning selects conditionOnRequired, on unless PaperMode; the
+	// test suite also switches it off alone. noPrune and ref are test-only
+	// and zero in production. noPrune keeps the raw result graph (no
+	// pruning, no conditioning), the regime the top-k error bound is
+	// defined in. ref replaces enumFast with the reference enumeration the
+	// differential and fuzz tests compare the fast path against; every
+	// path then materializes its embeddings through it. Tests set them
+	// between newApproxer and eval.
 	conditioning bool
-	twoMoment    bool
+	noPrune      bool
+	ref          func(from int, p *query.Path, needExist bool) []embedding
 
-	plan *qplan // nil in reference mode
-
-	res        *Result
-	resIndex   map[resKey]int // (synopsis node, query var index) -> result node
-	bind       [][]int        // query var index -> result node IDs
-	selMemo    map[selKey]float64
-	reachCache map[string][]bool // reference-mode label reachability
-	labels     map[string]bool   // fast-path synopsis label universe
-	canTabs    map[*query.Path][]int8
-	truncated  bool
+	res       *Result
+	resIndex  map[resKey]int // (synopsis node, query var index) -> result node
+	bind      [][]int        // query var index -> result node IDs
+	selMemo   map[selKey]float64
+	canTabs   map[*query.Path][]int8
+	truncated bool
 
 	// Enumeration pool for the finite-budget streaming path: when poolOn,
 	// every enumeration draws its embedding budget and work allowance from
@@ -306,19 +268,21 @@ type selKey struct {
 // if at least one step assignment exists, and elements on distinct class
 // paths are distinct.
 //
-// The fast path additionally stores the product accumulated while walking
-// the path (k: average descendant counts; exist: per-hop existence
-// probabilities), multiplied hop by hop in path order — the same
-// association the reference per-embedding walks use, so values are
-// bit-identical.
+// prod is the product accumulated while walking the path — average
+// descendant counts, or per-hop existence probabilities when the
+// enumeration ran with needExist — multiplied hop by hop in path order.
 type embedding struct {
 	nodes   []int
 	stepAts [][]int
-	k       float64
-	exist   float64
+	prod    float64
 }
 
-func (a *approxer) run() *Result {
+// grow starts the answer graph at the synopsis root and extends it in
+// query-variable pre-order — parents first, so bind[q] is complete when q's
+// edges are processed (Figure 7, lines 4-13) — folding in the per-terminal
+// sums terms supplies for every bound result node and outgoing query edge.
+// The batch path enumerates them; the top-k replay reads the recorded ones.
+func (a *approxer) grow(terms func(rn *RNode, edge *query.Edge) []termK) {
 	optional := make([]bool, len(a.qnodes))
 	for _, qn := range a.qnodes {
 		for _, e := range qn.Edges {
@@ -329,48 +293,42 @@ func (a *approxer) run() *Result {
 	}
 	a.res = &Result{Root: 0, VarOptional: optional}
 	a.bind = make([][]int, len(a.qnodes))
-	rootNode := a.sk.Nodes[a.sk.Root]
-	a.addResultNode(a.sk.Root, 0, rootNode.Label)
-
-	// Pre-order over query variables: parents first, so bind[q] is
-	// complete when q's edges are processed. This enumeration (embedding
-	// search plus selectivity memoization) is the trace's "memo" phase.
-	ms := a.tr.StartSpan("eval.memo")
+	a.addResultNode(a.sk.Root, 0, a.sk.Nodes[a.sk.Root].Label)
 	for qi, qn := range a.qnodes {
 		for _, uQ := range a.bind[qi] {
+			rn := a.res.Nodes[uQ]
 			for _, edge := range qn.Edges {
-				a.processEdge(uQ, edge)
+				a.checkCtx()
+				a.applyEdgeTerms(rn, edge, terms(rn, edge))
 			}
 		}
 	}
-	ms.End()
+}
 
-	// Everything from here shapes the answer synopsis: the trace's "emit"
-	// phase.
-	es := a.tr.StartSpan("eval.emit")
-	// Figure 7 line 15: a required variable with no bindings anywhere
-	// empties the whole answer.
-	for _, qn := range a.qnodes {
-		for _, edge := range qn.Edges {
-			if !edge.Optional && len(a.bind[a.qidx[edge.Child]]) == 0 {
-				es.End()
-				return &Result{Empty: true, Truncated: a.truncated}
+// finish shapes the grown graph into the answer synopsis: the empty answer
+// of Figure 7 line 15 when a required variable has no bindings anywhere
+// (checked only when searched, i.e. the whole graph was explored), then
+// pruning, conditioning and the extent counts.
+func (a *approxer) finish(searched bool) *Result {
+	if searched {
+		for _, qn := range a.qnodes {
+			for _, edge := range qn.Edges {
+				if !edge.Optional && len(a.bind[a.qidx[edge.Child]]) == 0 {
+					return &Result{Empty: true, Truncated: a.truncated}
+				}
 			}
 		}
 	}
-
-	if !a.opts.DisablePrune {
+	if !a.noPrune {
 		if !a.prune() {
-			es.End()
 			return &Result{Empty: true, Truncated: a.truncated}
 		}
-	}
-	if a.conditioning {
-		a.conditionOnRequired()
+		if a.conditioning {
+			a.conditionOnRequired()
+		}
 	}
 	a.res.Truncated = a.truncated
 	a.computeCounts()
-	es.End()
 	return a.res
 }
 
@@ -475,14 +433,6 @@ func (a *approxer) addResultNode(src, qi int, label string) int {
 	return id
 }
 
-// processEdge computes the bindings B(qc, uQ) (Figure 7 lines 4-13) for one
-// result node and one query edge.
-func (a *approxer) processEdge(uQ int, edge *query.Edge) {
-	a.checkCtx()
-	rn := a.res.Nodes[uQ]
-	a.applyEdgeTerms(rn, edge, a.edgeTerms(rn.Src, edge))
-}
-
 // applyEdgeTerms folds one edge's per-terminal sums into the result graph:
 // every terminal becomes (or joins) a result node of the child variable, and
 // the descendant counts accumulate on the parent's outgoing edges.
@@ -511,23 +461,12 @@ type termK struct {
 // which is what lets the top-k path replay recorded edge outputs in batch
 // order and reproduce the batch result bit-identically.
 func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
-	steps := edge.Path.MainSteps()
 	perTerm := make(map[int]float64)
-	if a.fastStream(edge.Path) {
-		a.enumFast(src, edge.Path, false, nil, func(term int, prod float64) {
-			if prod > 0 {
-				perTerm[term] += prod
-			}
-		})
-	} else {
-		for _, e := range a.embeddings(src, edge.Path, false) {
-			a.tickCtx(1)
-			k := a.evalEmbed(steps, src, e)
-			if k > 0 {
-				perTerm[e.nodes[len(e.nodes)-1]] += k
-			}
+	a.walk(src, edge.Path, false, func(term int, k float64) {
+		if k > 0 {
+			perTerm[term] += k
 		}
-	}
+	})
 	if len(perTerm) == 0 {
 		return nil
 	}
@@ -543,44 +482,48 @@ func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
 	return out
 }
 
-// fastStream reports whether path p can be enumerated in streaming mode:
-// plan-driven evaluation with no step predicates, where only (terminal,
-// product) pairs are needed and embeddings never materialize.
-func (a *approxer) fastStream(p *query.Path) bool {
-	return !a.reference && !a.plan.paths[p].hasPreds
-}
-
-// embeddings enumerates the mappings of p's steps into the synopsis
-// starting at node from, dispatching between the fast path and the
-// reference enumeration. needExist selects which per-path product the fast
-// path accumulates (descendant counts for EvalEmbed, per-hop existence
-// probabilities for the two-moment estimator).
-func (a *approxer) embeddings(from int, p *query.Path, needExist bool) []embedding {
-	if a.reference {
-		return a.embeddingsRef(from, p.Steps)
+// walk enumerates p from synopsis node from and calls visit once per
+// distinct embedding with its terminal node and its EvalEmbed value (the
+// existence estimate when needExist). Predicate-free paths stream from
+// enumFast and never materialize embeddings; paths with step predicates
+// materialize them, because the best step assignment is chosen per node
+// path.
+func (a *approxer) walk(from int, p *query.Path, needExist bool, visit func(term int, v float64)) {
+	var embs []embedding
+	switch {
+	case a.ref != nil:
+		embs = a.ref(from, p, needExist)
+	case !hasPreds(p.Steps):
+		a.enumFast(from, p, needExist, nil, visit)
+		return
+	default:
+		a.enumFast(from, p, needExist, &embs, nil)
 	}
-	return a.embeddingsFast(from, p, needExist)
+	for _, e := range embs {
+		a.tickCtx(1)
+		visit(e.nodes[len(e.nodes)-1], a.evalEmbed(p.Steps, e))
+	}
 }
 
-// embeddingsFast materializes the plan-driven enumeration. It is the slow
-// shape of the fast path, needed only when a step carries predicates (the
-// best step assignment is then chosen per node path); predicate-free paths
-// go through enumFast's streaming mode and never build embedding values.
-func (a *approxer) embeddingsFast(from int, p *query.Path, needExist bool) []embedding {
-	var out []embedding
-	a.enumFast(from, p, needExist, &out, nil)
-	return out
+// hasPreds reports whether some step carries a branching predicate.
+func hasPreds(steps []query.Step) bool {
+	for si := range steps {
+		if len(steps[si].Preds) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// enumFast is the plan-driven enumeration: a DFS over the synopsis that
+// enumFast is the embedding enumeration: a DFS over the synopsis that
 // (1) refuses to start when a step label is absent from the synopsis
 // altogether, (2) prunes any branch whose can-complete memo proves the
 // remaining steps cannot all be placed below it — so every surviving
 // branch emits at least one embedding — and (3) accumulates the
 // per-embedding count (or existence) product hop by hop during the walk,
-// eliminating the per-embedding re-walks of the reference path. Emission
-// order, and therefore all downstream floating-point accumulation, is
-// identical to the reference whenever neither enumeration truncates.
+// instead of re-walking each embedding. Emission order, and therefore all
+// downstream floating-point accumulation, is identical to the test suite's
+// reference enumeration whenever neither truncates.
 //
 // Exactly one of out/stream is set. With out, embeddings are materialized
 // (nodes, step assignments, product). With stream, each deduplicated
@@ -590,23 +533,28 @@ func (a *approxer) embeddingsFast(from int, p *query.Path, needExist bool) []emb
 // assignments only matter to bestAssignmentSel), so they are dropped after
 // the budget accounting.
 func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embedding, stream func(term int, prod float64)) {
-	pp := a.plan.paths[p]
-	labels := a.labelSet()
-	for _, l := range pp.labels {
-		if !labels[l] {
+	steps := p.Steps
+	descSteps := 0
+	for si := range steps {
+		if !a.sk.HasLabel(steps[si].Label) {
 			a.prunes++
 			return
 		}
+		if steps[si].Axis == query.Descendant {
+			descSteps++
+		}
 	}
-	steps := p.Steps
 	tab := a.canTab(p)
-	// Duplicate node paths (possible only with two or more Descendant
-	// steps) are detected with an incremental path trie: every pushed
-	// (prefix, node) pair gets a dense integer ID, so the whole current
-	// stack is identified by one int — no per-emission key strings. The
-	// trie maps live on the approxer and are clear()ed per enumeration to
-	// keep their buckets warm across a query's path expressions.
-	dedup := pp.canDup
+	// One node path can be emitted under several step assignments only
+	// with two or more Descendant steps: the emitted sequence records every
+	// traversed synopsis node, so a walk's length pins each Child step and
+	// a single Descendant step to one position. Such duplicates are
+	// detected with an incremental path trie: every pushed (prefix, node)
+	// pair gets a dense integer ID, so the whole current stack is
+	// identified by one int — no per-emission key strings. The trie maps
+	// live on the approxer and are clear()ed per enumeration to keep their
+	// buckets warm across a query's path expressions.
+	dedup := descSteps >= 2
 	var nextID int32 = 1
 	var pathID int32
 	var idStack []int32
@@ -652,19 +600,14 @@ func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embe
 			stream(nodes[len(nodes)-1], prod)
 			return
 		}
-		e := embedding{
+		*out = append(*out, embedding{
 			nodes:   append([]int(nil), nodes...),
 			stepAts: [][]int{append([]int(nil), stepAt...)},
-		}
-		if needExist {
-			e.exist = prod
-		} else {
-			e.k = prod
-		}
-		*out = append(*out, e)
+			prod:    prod,
+		})
 	}
 	// extend advances the accumulated product across one synopsis edge, in
-	// the same multiplication order as the reference per-embedding walks.
+	// path order.
 	extend := func(prod float64, e sketch.Edge, parent int) float64 {
 		if needExist {
 			return prod * edgeExistence(e, a.sk.Nodes[parent].Count)
@@ -748,210 +691,24 @@ func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embe
 	a.mEmbedWork.Add(int64(startWork - work))
 }
 
-// labelSetCache holds the label universe per synopsis. Sketches are
-// immutable once built and shared across concurrent evaluations, so the
-// set is computed once per sketch process-wide (same lifetime reasoning as
-// planCache: entries are tiny and keyed by objects the caller retains).
-var labelSetCache sync.Map // *sketch.Sketch -> map[string]bool
-
-// labelSet returns the synopsis's label universe, cached per sketch.
-func (a *approxer) labelSet() map[string]bool {
-	if a.labels != nil {
-		return a.labels
-	}
-	if v, ok := labelSetCache.Load(a.sk); ok {
-		a.labels = v.(map[string]bool)
-		return a.labels
-	}
-	set := make(map[string]bool)
-	for _, u := range a.sk.Nodes {
-		if u != nil {
-			set[u.Label] = true
-		}
-	}
-	if v, loaded := labelSetCache.LoadOrStore(a.sk, set); loaded {
-		set = v.(map[string]bool)
-	}
-	a.labels = set
-	return set
-}
-
-// embeddingsRef is the pre-plan reference enumeration: a Child step follows
-// one matching edge; a Descendant step follows any downward path ending at
-// a matching label. Mappings sharing a node path are merged into one
-// embedding with multiple step assignments.
-//
-// Two guards keep enumeration cheap: descendant exploration skips subgraphs
-// from which the target label is unreachable (label-reachability prune),
-// and total DFS work is bounded by a step budget proportional to
-// MaxEmbeddings so that fruitless dense regions cannot stall evaluation.
-func (a *approxer) embeddingsRef(from int, steps []query.Step) []embedding {
-	var out []embedding
-	byPath := make(map[string]int) // node-path key -> index in out
-	budget := a.opts.MaxEmbeddings
-	work := 64 * a.opts.MaxEmbeddings
-	if a.poolOn {
-		budget, work = a.poolBudget, a.poolWork
-	}
-	startWork := work
-	var nodes []int
-	var stepAt []int
-
-	var rec func(cur, si int)
-	emit := func() {
-		key := pathKey(nodes)
-		if i, ok := byPath[key]; ok {
-			out[i].stepAts = append(out[i].stepAts, append([]int(nil), stepAt...))
-			return
-		}
-		byPath[key] = len(out)
-		out = append(out, embedding{
-			nodes:   append([]int(nil), nodes...),
-			stepAts: [][]int{append([]int(nil), stepAt...)},
-		})
-	}
-	var desc func(cur, si int)
-	rec = func(cur, si int) {
-		if budget <= 0 || work <= 0 {
-			a.truncated = true
-			return
-		}
-		if si == len(steps) {
-			budget--
-			emit()
-			return
-		}
-		step := &steps[si]
-		if step.Axis == query.Child {
-			for _, e := range a.sk.Nodes[cur].Edges {
-				if a.sk.Nodes[e.Child].Label != step.Label {
-					continue
-				}
-				work--
-				a.tickCtx(1)
-				nodes = append(nodes, e.Child)
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1)
-				nodes = nodes[:len(nodes)-1]
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			return
-		}
-		desc(cur, si)
-	}
-	// desc explores all downward paths for a Descendant step: every node
-	// whose label matches is a landing point (and the search continues
-	// deeper regardless, since descendants below a match can match too).
-	desc = func(cur, si int) {
-		if budget <= 0 {
-			a.truncated = true
-			return
-		}
-		step := &steps[si]
-		for _, e := range a.sk.Nodes[cur].Edges {
-			if work <= 0 {
-				a.truncated = true
-				return
-			}
-			if !a.reaches(e.Child, step.Label) {
-				continue
-			}
-			work--
-			a.tickCtx(1)
-			nodes = append(nodes, e.Child)
-			if a.sk.Nodes[e.Child].Label == step.Label {
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1)
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			desc(e.Child, si)
-			nodes = nodes[:len(nodes)-1]
-		}
-	}
-	rec(from, 0)
-	if a.poolOn {
-		a.poolBudget, a.poolWork = budget, work
-	}
-	a.mEmbeddings.Add(int64(len(out)))
-	a.mEmbedWork.Add(int64(startWork - work))
-	return out
-}
-
-// reaches reports whether a node with the given label is reachable from id
-// (including id itself) following synopsis edges. Computed once per label
-// over the whole graph and cached; reference-mode only (the fast path's
-// can-complete memo subsumes it).
-func (a *approxer) reaches(id int, label string) bool {
-	reach, ok := a.reachCache[label]
-	if !ok {
-		reach = make([]bool, len(a.sk.Nodes))
-		// Seed with label occurrences, then propagate along reverse edges
-		// until a fixed point; iterate passes for simplicity (graphs are
-		// small and the pass count is bounded by the longest chain).
-		for _, u := range a.sk.Nodes {
-			if u != nil && u.Label == label {
-				reach[u.ID] = true
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, u := range a.sk.Nodes {
-				if u == nil || reach[u.ID] {
-					continue
-				}
-				for _, e := range u.Edges {
-					if reach[e.Child] {
-						reach[u.ID] = true
-						changed = true
-						break
-					}
-				}
-			}
-		}
-		if a.reachCache == nil {
-			a.reachCache = make(map[string][]bool)
-		}
-		a.reachCache[label] = reach
-	}
-	return reach[id]
-}
-
 // evalEmbed implements EvalEmbed (Figure 8): the descendant count along the
 // embedding's main path is the product of the traversed average edge
-// counts, scaled by the selectivity of each step's branching predicates.
-// With several step assignments on the same node path, the best (highest
-// selectivity) assignment is used — an element matches if any assignment's
-// predicates hold. The fast path accumulated the count product during
-// enumeration; the reference re-walks the path.
-func (a *approxer) evalEmbed(steps []query.Step, from int, e embedding) float64 {
-	if !a.reference {
-		return e.k * a.bestAssignmentSel(steps, e)
-	}
-	nt := 1.0
-	prev := from
-	for _, nid := range e.nodes {
-		edge, ok := a.sk.Nodes[prev].EdgeTo(nid)
-		if !ok {
-			return 0
-		}
-		nt *= edge.Avg
-		prev = nid
-	}
-	return nt * a.bestAssignmentSel(steps, e)
+// counts, accumulated during enumeration, scaled by the selectivity of each
+// step's branching predicates. With several step assignments on the same
+// node path, the best (highest selectivity) assignment is used — an element
+// matches if any assignment's predicates hold. For an embedding enumerated
+// with needExist the product is the per-hop existence probability instead,
+// and the value estimates the probability that an element of the source
+// has at least one descendant along this embedding.
+func (a *approxer) evalEmbed(steps []query.Step, e embedding) float64 {
+	return e.prod * a.bestAssignmentSel(steps, e)
 }
 
 // bestAssignmentSel returns the maximum product of branch-predicate
 // selectivities over the embedding's step assignments. 1 when no step has
 // predicates.
 func (a *approxer) bestAssignmentSel(steps []query.Step, e embedding) float64 {
-	havePreds := false
-	for si := range steps {
-		if len(steps[si].Preds) > 0 {
-			havePreds = true
-			break
-		}
-	}
-	if !havePreds {
+	if !hasPreds(steps) {
 		return 1
 	}
 	best := 0.0
@@ -975,19 +732,6 @@ func (a *approxer) bestAssignmentSel(steps []query.Step, e embedding) float64 {
 		}
 	}
 	return best
-}
-
-// pathKey renders a node-ID sequence as a map key.
-func pathKey(nodes []int) string {
-	buf := make([]byte, 0, len(nodes)*3)
-	for _, n := range nodes {
-		for n >= 0x80 {
-			buf = append(buf, byte(n)|0x80)
-			n >>= 7
-		}
-		buf = append(buf, byte(n))
-	}
-	return string(buf)
 }
 
 // branchSel estimates the fraction of elements of synopsis node from that
@@ -1020,32 +764,20 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 	a.mSelMisses.Inc()
 	a.checkCtx()
 	var s float64
-	if a.twoMoment {
+	if !a.opts.PaperMode {
 		var sum float64
-		if a.fastStream(pred) {
-			a.enumFast(from, pred, true, nil, func(term int, prod float64) {
-				sum += prod
-			})
-		} else {
-			for _, e := range a.embeddings(from, pred, true) {
-				sum += a.embedExistence(pred.Steps, from, e)
-			}
-		}
+		a.walk(from, pred, true, func(_ int, p float64) {
+			sum += p
+		})
 		if sum > 1 {
 			sum = 1
 		}
 		s = sum
 	} else {
 		perTerm := make(map[int]float64)
-		if a.fastStream(pred) {
-			a.enumFast(from, pred, false, nil, func(term int, prod float64) {
-				perTerm[term] += prod
-			})
-		} else {
-			for _, e := range a.embeddings(from, pred, false) {
-				perTerm[e.nodes[len(e.nodes)-1]] += a.evalEmbed(pred.Steps, from, e)
-			}
-		}
+		a.walk(from, pred, false, func(term int, k float64) {
+			perTerm[term] += k
+		})
 		if len(perTerm) > 0 {
 			// Sorted drain: the complement product is a float accumulation
 			// and must not follow map iteration order.
@@ -1073,31 +805,6 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 	}
 	a.selMemo[k] = s
 	return s
-}
-
-// embedExistence estimates the probability that an element of from has at
-// least one descendant along the specific embedding: per-hop two-moment
-// existence probabilities multiplied along the path, scaled by the best
-// step assignment's nested-predicate selectivities. The fast path
-// accumulated the per-hop product during enumeration.
-func (a *approxer) embedExistence(steps []query.Step, from int, e embedding) float64 {
-	if !a.reference {
-		return e.exist * a.bestAssignmentSel(steps, e)
-	}
-	p := 1.0
-	prev := from
-	for _, nid := range e.nodes {
-		edge, ok := a.sk.Nodes[prev].EdgeTo(nid)
-		if !ok {
-			return 0
-		}
-		p *= edgeExistence(edge, a.sk.Nodes[prev].Count)
-		if p == 0 {
-			return 0
-		}
-		prev = nid
-	}
-	return p * a.bestAssignmentSel(steps, e)
 }
 
 // edgeExistence estimates P(child count >= 1) for one synopsis edge: when

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"treesketch/internal/obs"
 	"treesketch/internal/query"
 	"treesketch/internal/sketch"
 	"treesketch/internal/stable"
@@ -68,7 +70,7 @@ func TestDisablePruneKeepsUnsatisfiedNodes(t *testing.T) {
 	sk := sketch.FromStable(st)
 	q := query.MustParse("//a{/b}")
 	pruned := Approx(sk, q, Options{})
-	raw := Approx(sk, q, Options{DisablePrune: true})
+	raw := approxUnpruned(sk, q, Options{})
 	if len(raw.Nodes) <= len(pruned.Nodes) {
 		t.Fatalf("unpruned result (%d nodes) should exceed pruned (%d)", len(raw.Nodes), len(pruned.Nodes))
 	}
@@ -98,4 +100,47 @@ func TestBestAssignmentSelNoPreds(t *testing.T) {
 	if got := a.bestAssignmentSel(steps, e); got != 1 {
 		t.Fatalf("sel = %g, want 1 for predicate-free steps", got)
 	}
+}
+
+// retainedPerOp runs op n times and reports the live heap it left behind,
+// in bytes per call, measured after a full collection on both sides.
+func retainedPerOp(n int, op func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+}
+
+// TestApproxRetainsNothingPerEvaluation pins that no evaluation state
+// outlives the query or the synopsis it describes. A server parses a fresh
+// *query.Query per request, and a live dataset evaluates throwaway delta
+// sketches, so anything cached by either pointer grows the heap with every
+// request.
+func TestApproxRetainsNothingPerEvaluation(t *testing.T) {
+	const src = "//a{//b//c?,//d?}"
+	const budget = 64 // bytes per evaluation; GC accounting noise stays far below
+	opts := Options{Metrics: obs.NewRegistry()}
+	sk := fuzzSketch()
+	Approx(sk, query.MustParse(src), opts) // registers every metric up front
+
+	perQuery := retainedPerOp(20000, func() {
+		Approx(sk, query.MustParse(src), opts)
+	})
+	if perQuery > budget {
+		t.Errorf("%.0f B retained per freshly parsed query, want <= %d", perQuery, budget)
+	}
+
+	q := query.MustParse(src)
+	perSketch := retainedPerOp(400, func() {
+		Approx(fuzzSketch(), q, opts)
+	})
+	if perSketch > budget {
+		t.Errorf("%.0f B retained per single-use sketch, want <= %d", perSketch, budget)
+	}
+	t.Logf("retained: %.1f B per parsed query, %.1f B per sketch", perQuery, perSketch)
 }

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,8 +21,8 @@ func TestPropConditioningPreservesSelectivity(t *testing.T) {
 		st := stable.Build(tr)
 		sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: st.SizeBytes() / 2})
 		for _, q := range query.Generate(st, 5, query.GenOptions{Seed: int64(seed % (1 << 29))}) {
-			with := approxWith(context.Background(), sk, q, Options{}.withDefaults(), true, true)
-			without := approxWith(context.Background(), sk, q, Options{}.withDefaults(), false, true)
+			with := Approx(sk, q, Options{})
+			without := approxVariant(sk, q, Options{}, func(a *approxer) { a.conditioning = false })
 			if with.Empty != without.Empty {
 				t.Logf("seed %d: %s: Empty %v vs %v", seed, q, with.Empty, without.Empty)
 				return false

@@ -193,7 +193,7 @@ func TestDifferentialExactVsReference(t *testing.T) {
 		for _, q := range diffQueries(t, doc, 40, int64(di)+200) {
 			pairs++
 			got := Exact(ix, q)
-			refT, refE := ExactReference(ix, q)
+			refT, refE := exactReference(ix, q)
 			if math.Float64bits(got.Tuples) != math.Float64bits(refT) {
 				t.Fatalf("doc %d, query %s: fast=%v ref=%v", di, q, got.Tuples, refT)
 			}
@@ -207,8 +207,8 @@ func TestDifferentialExactVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialApproxFastVsReference checks the plan-driven approximate
-// fast path is bit-identical to the reference enumeration — selectivity,
+// TestDifferentialApproxFastVsReference checks the approximate fast path
+// is bit-identical to the reference enumeration — selectivity,
 // emptiness, node counts — on every quick-grid dataset family, at two
 // synopsis budgets each (a heavily merged and a lightly merged one).
 func TestDifferentialApproxFastVsReference(t *testing.T) {
@@ -219,7 +219,7 @@ func TestDifferentialApproxFastVsReference(t *testing.T) {
 			sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: st.SizeBytes() / div})
 			for qi, q := range query.Generate(st, 40, query.GenOptions{Seed: int64(div)}) {
 				fast := Approx(sk, q, Options{})
-				ref := Approx(sk, q, Options{Reference: true})
+				ref := approxRef(sk, q, Options{})
 				if fast.Truncated || ref.Truncated {
 					continue // budgets diverge under truncation by design
 				}

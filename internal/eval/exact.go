@@ -150,17 +150,14 @@ type evaluator struct {
 	q      *query.Query
 	qnodes []*query.Node
 
-	// ctx is the evaluation's cancellation signal (nil or Background for
-	// batch callers); ctxTick accumulates traversal work (elements visited,
-	// not calls — a single descendant step can scan thousands of positions)
-	// and rate-limits the Err checks to one read per ctxCheckEvery units.
-	ctx     context.Context
-	ctxTick uint
-	qidx    map[*query.Node]int
-	eidx    map[*query.Edge]int   // edge -> dense edge slot base
-	pidx    map[*query.Path]int   // predicate -> dense pred slot base
-	slids   map[*query.Step]int32 // step -> label ID (-1: label absent from document)
-	stride  int                   // OID space of the document
+	// ctxPoll carries the evaluation's cancellation signal (nil or
+	// Background for batch callers); work is charged per element visited.
+	ctxPoll
+	qidx   map[*query.Node]int
+	eidx   map[*query.Edge]int   // edge -> dense edge slot base
+	pidx   map[*query.Path]int   // predicate -> dense pred slot base
+	slids  map[*query.Step]int32 // step -> label ID (-1: label absent from document)
+	stride int                   // OID space of the document
 
 	// cedges holds, per query variable, its compiled outgoing edges, so the
 	// hot recursion reads plain struct fields instead of hashing pointers.
@@ -179,59 +176,6 @@ type evaluator struct {
 	matchHits  int64
 	labelScans int64
 	countFast  int64
-}
-
-// ctxCanceled is the panic sentinel checkCtx throws when the evaluation's
-// context expires; ExactContext and TopKNestingTree recover it at their
-// boundary. A panic (rather than threading error returns through the
-// memoized recursion) keeps the hot valid/tuples/matches signatures — and
-// their inlining — untouched.
-type ctxCanceled struct{}
-
-// ctxCheckEvery is the traversal-work interval between context reads.
-// Work is charged in element-visit units (tickCtx) rather than call
-// counts: one path call with a descendant axis can scan thousands of
-// label positions, so call-count polling would let a heavy query run
-// arbitrarily far past its deadline between checks.
-const ctxCheckEvery = 1024
-
-// tickCtx charges n element-visits of traversal work against the poll
-// budget and reads ctx.Err() once it is spent. The very first charge of
-// an evaluation polls immediately, so an already-expired deadline aborts
-// before any document walk. Note that a deadline lapsing mid-walk only
-// becomes visible through Err() once the runtime delivers the timer; on a
-// GOMAXPROCS=1 box a CPU-bound walk delays that until async preemption
-// (~10ms), which bounds the overrun there — the same single-core physics
-// serve documents for InjectDelay.
-func (ev *evaluator) tickCtx(n int) {
-	if ev.ctx == nil {
-		return
-	}
-	first := ev.ctxTick == 0
-	ev.ctxTick += uint(n)
-	if !first && ev.ctxTick < ctxCheckEvery {
-		return
-	}
-	ev.ctxTick = 1
-	if ev.ctx.Err() != nil {
-		panic(ctxCanceled{})
-	}
-}
-
-// checkCtx charges the minimal one-unit tick; the recursion entry points
-// (valid, tuples, path, countPath) call it so even scan-free query shapes
-// keep polling.
-func (ev *evaluator) checkCtx() {
-	ev.tickCtx(1)
-}
-
-// ctxErr reports the evaluation context's status without the panic, for
-// loop-boundary checks that want to stop gracefully with partial output.
-func (ev *evaluator) ctxErr() error {
-	if ev.ctx == nil {
-		return nil
-	}
-	return ev.ctx.Err()
 }
 
 // cedge is the compiled form of one query edge.

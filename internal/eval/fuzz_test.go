@@ -42,7 +42,7 @@ func FuzzEvalApprox(f *testing.F) {
 		// Keep enumeration bounded: fuzzing explores adversarial recursive
 		// twigs and the invariants must hold under truncation too.
 		fast := Approx(sk, q, Options{MaxEmbeddings: 200})
-		ref := Approx(sk, q, Options{MaxEmbeddings: 200, Reference: true})
+		ref := approxRef(sk, q, Options{MaxEmbeddings: 200})
 		for name, r := range map[string]*Result{"fast": fast, "ref": ref} {
 			sel := r.Selectivity()
 			if math.IsNaN(sel) || math.IsInf(sel, 0) || sel < 0 {

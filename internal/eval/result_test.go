@@ -101,21 +101,21 @@ func TestExpandVarLabelsFlag(t *testing.T) {
 func TestReachesCache(t *testing.T) {
 	tr := xmltree.MustCompact("r(a(b(c)),d)")
 	sk := sketch.FromStable(stable.Build(tr))
-	a := &approxer{sk: sk}
+	r := &refEnum{a: &approxer{sk: sk}}
 	ids := map[string]int{}
 	for _, u := range sk.Nodes {
 		ids[u.Label] = u.ID
 	}
-	if !a.reaches(ids["r"], "c") {
+	if !r.reaches(ids["r"], "c") {
 		t.Fatal("r should reach c")
 	}
-	if a.reaches(ids["d"], "c") {
+	if r.reaches(ids["d"], "c") {
 		t.Fatal("d should not reach c")
 	}
-	if !a.reaches(ids["c"], "c") {
+	if !r.reaches(ids["c"], "c") {
 		t.Fatal("c should reach itself (label occurrence)")
 	}
-	if _, ok := a.reachCache["c"]; !ok {
+	if _, ok := r.reach["c"]; !ok {
 		t.Fatal("reach result not cached")
 	}
 }

@@ -52,15 +52,14 @@ type TopKInfo struct {
 	DeadlineHit bool
 }
 
-// topKWith is the streaming counterpart of approxWith: best-first expansion
-// of the result graph under a node budget, followed by a canonical replay
-// that rebuilds the result in batch discovery order. With an unbounded
-// budget the replayed result is bit-identical to the batch path (node IDs,
-// edge order, every float accumulation), because each edge's per-terminal
-// sums are a pure function of (source synopsis node, query edge) — see
+// topK is the streaming counterpart of batch: best-first expansion of the
+// result graph under a node budget, followed by a canonical replay that
+// rebuilds the result in batch discovery order. With an unbounded budget
+// the replayed result is bit-identical to the batch path (node IDs, edge
+// order, every float accumulation), because each edge's per-terminal sums
+// are a pure function of (source synopsis node, query edge) — see
 // edgeTerms — and the replay applies them in exactly the batch order.
-func topKWith(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options, conditioning, twoMoment bool) *Result {
-	a := newApproxer(ctx, sk, q, opts, conditioning, twoMoment)
+func (a *approxer) topK(ctx context.Context) *Result {
 	span := a.reg.StartSpan("eval.topk.query")
 	a.reg.Counter("eval.topk.queries").Inc()
 	res := a.runTopK(ctx)
@@ -254,37 +253,18 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 	return exp
 }
 
-// replayTopK rebuilds the result from the recorded expansion in canonical
-// batch order — variables in pre-order, bound nodes in discovery order,
-// edges in query order — so every addResultNode and addK call happens in
+// replayTopK rebuilds the result from the recorded expansion through the
+// batch path's grow, so every addResultNode and addK call happens in
 // exactly the sequence the batch path would have produced for the expanded
-// subset. Frontier (unexpanded) nodes keep their incoming edges but emit
-// none, are exempt from required-child pruning (their subtrees were never
-// searched), and their raw counts price the error bound.
+// subset. Only expanded nodes have recorded edges, so frontier (unexpanded)
+// nodes keep their incoming edges but emit none; they are exempt from
+// required-child pruning (their subtrees were never searched), and their
+// raw counts price the error bound.
 func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *Result {
 	dm := mm.dm
-	optional := make([]bool, len(a.qnodes))
-	for _, qn := range a.qnodes {
-		for _, e := range qn.Edges {
-			if e.Optional {
-				optional[a.qidx[e.Child]] = true
-			}
-		}
-	}
-	a.res = &Result{Root: 0, VarOptional: optional}
-	a.bind = make([][]int, len(a.qnodes))
-	a.addResultNode(a.sk.Root, 0, a.sk.Nodes[a.sk.Root].Label)
-	for qi, qn := range a.qnodes {
-		for _, uQ := range a.bind[qi] {
-			rn := a.res.Nodes[uQ]
-			if n := exp.nodes[resKey{rn.Src, qi}]; n == nil || !n.expanded {
-				continue
-			}
-			for _, edge := range qn.Edges {
-				a.applyEdgeTerms(rn, edge, exp.edges[tkEdgeKey{rn.Src, edge}])
-			}
-		}
-	}
+	a.grow(func(rn *RNode, edge *query.Edge) []termK {
+		return exp.edges[tkEdgeKey{rn.Src, edge}]
+	})
 
 	// Mass accounting on the raw graph, before pruning and conditioning
 	// reshape the counts. The bound sums, per frontier node f, its raw count
@@ -327,26 +307,7 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 	// The known-empty shortcut (a required variable with no bindings
 	// anywhere) is sound only when the whole graph was searched; a partial
 	// expansion may simply not have reached the variable yet.
-	if info.Exhausted {
-		for _, qn := range a.qnodes {
-			for _, edge := range qn.Edges {
-				if !edge.Optional && len(a.bind[a.qidx[edge.Child]]) == 0 {
-					return &Result{Empty: true, Truncated: a.truncated}
-				}
-			}
-		}
-	}
-	if !a.opts.DisablePrune {
-		if !a.prune() {
-			return &Result{Empty: true, Truncated: a.truncated}
-		}
-	}
-	if a.conditioning {
-		a.conditionOnRequired()
-	}
-	a.res.Truncated = a.truncated
-	a.computeCounts()
-	return a.res
+	return a.finish(info.Exhausted)
 }
 
 // rawCounts computes the unconditioned, unpruned extent counts of the
@@ -415,11 +376,11 @@ type massKey struct {
 	qs string
 }
 
-// massCacheCap bounds the mass-DP cache. Unlike planCache entries these are
-// not tiny, so the cache is LRU-evicted: a client cycling query shapes
-// cannot grow it without bound, and entries pinning a synopsis that
-// SetCatalog swapped out age out under any ongoing budgeted traffic instead
-// of holding the old sketch forever.
+// massCacheCap bounds the mass-DP cache. Entries are O(queryVars x
+// sketchNodes) float64s, so the cache is LRU-evicted: a client cycling
+// query shapes cannot grow it without bound, and entries pinning a synopsis
+// that SetCatalog swapped out age out under any ongoing budgeted traffic
+// instead of holding the old sketch forever.
 const massCacheCap = 64
 
 var massCache = struct {

@@ -56,7 +56,7 @@ func TestTopKUnboundedMatchesBatchFingerprint(t *testing.T) {
 // raw answer mass: for every finite budget, the mass the full evaluation
 // carries beyond the streamed prefix must not exceed the reported
 // ErrorBound. Pruning and conditioning redistribute mass non-monotonically,
-// so both sides run with DisablePrune — the regime the bound is defined in.
+// so both sides run unpruned — the regime the bound is defined in.
 func TestTopKErrorBoundDominatesTruncatedMass(t *testing.T) {
 	cases, truncated, finiteBounds := 0, 0, 0
 	for _, ds := range datagen.All() {
@@ -65,14 +65,14 @@ func TestTopKErrorBoundDominatesTruncatedMass(t *testing.T) {
 		for _, div := range []int{2, 8} {
 			sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: st.SizeBytes() / div})
 			for qi, q := range query.Generate(st, 25, query.GenOptions{Seed: int64(div) + 10}) {
-				full := Approx(sk, q, Options{DisablePrune: true})
+				full := approxUnpruned(sk, q, Options{})
 				fullByKey := make(map[resKey]float64, len(full.Nodes))
 				for _, rn := range full.Nodes {
 					fullByKey[resKey{rn.Src, rn.VarID}] = rn.Count
 				}
 				for _, k := range []int{1, 2, 4, 8} {
 					cases++
-					part := Approx(sk, q, Options{DisablePrune: true, Limit: k})
+					part := approxUnpruned(sk, q, Options{Limit: k})
 					info := part.TopK
 					if info == nil {
 						t.Fatalf("%s/%d q%d k=%d: no TopK info", ds, div, qi, k)
@@ -214,7 +214,7 @@ func TestTopKBestFirstOrder(t *testing.T) {
 	}
 	prev := 0.0
 	for _, k := range []int{1, 2, 3, 4, 6, 8, -1} {
-		res := Approx(sk, q, Options{DisablePrune: true, Limit: k})
+		res := approxUnpruned(sk, q, Options{Limit: k})
 		if res.TopK == nil {
 			t.Fatalf("k=%d: no TopK info", k)
 		}

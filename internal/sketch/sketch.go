@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"treesketch/internal/stable"
 )
@@ -88,14 +89,34 @@ func (n *Node) EdgeTo(child int) (Edge, bool) {
 // be nil while a construction algorithm is merging (tombstones). Compact
 // renumbers the survivors.
 //
-// A Sketch has no internal synchronization. All methods are read-only and
-// safe for concurrent use as long as no goroutine mutates the synopsis;
-// construction algorithms that evaluate candidates in parallel (tsbuild)
-// freeze the structure during each evaluation batch and confine mutation
-// to a single goroutine between batches.
+// All methods are read-only and safe for concurrent use as long as no
+// goroutine mutates the synopsis; construction algorithms that evaluate
+// candidates in parallel (tsbuild) freeze the structure during each
+// evaluation batch and confine mutation to a single goroutine between
+// batches. The one piece of internal synchronization is the label set
+// behind HasLabel, built once on first use and freed with the sketch.
 type Sketch struct {
 	Nodes []*Node
 	Root  int
+
+	labelsOnce sync.Once
+	labels     map[string]struct{}
+}
+
+// HasLabel reports whether some live node carries label. The label set is
+// computed on the first call and kept for the sketch's lifetime, so nodes
+// must not gain new labels after the first call.
+func (sk *Sketch) HasLabel(label string) bool {
+	sk.labelsOnce.Do(func() {
+		sk.labels = make(map[string]struct{})
+		for _, u := range sk.Nodes {
+			if u != nil {
+				sk.labels[u.Label] = struct{}{}
+			}
+		}
+	})
+	_, ok := sk.labels[label]
+	return ok
 }
 
 // FromStable converts a count-stable summary into the equivalent (zero

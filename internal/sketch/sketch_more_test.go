@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"sync"
 	"testing"
 
 	"treesketch/internal/stable"
@@ -26,6 +27,35 @@ func TestParents(t *testing.T) {
 	if len(parents[ids["c"]]) != 1 {
 		t.Fatalf("c has %d parents after tombstoning b, want 1", len(parents[ids["c"]]))
 	}
+}
+
+// TestHasLabel checks the label lookup against the live nodes, skipping
+// tombstones, under concurrent first use (run with -race).
+func TestHasLabel(t *testing.T) {
+	_, _, sk := fromDoc("r(a(c),b(c))")
+	for _, u := range sk.Nodes {
+		if u.Label == "b" {
+			sk.Nodes[u.ID] = nil
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, l := range []string{"r", "a", "c"} {
+				if !sk.HasLabel(l) {
+					t.Errorf("HasLabel(%q) = false", l)
+				}
+			}
+			for _, l := range []string{"b", "z", ""} {
+				if sk.HasLabel(l) {
+					t.Errorf("HasLabel(%q) = true", l)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSqErrZeroCountNode(t *testing.T) {

@@ -36,7 +36,10 @@ func benchUpdate(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds s
 		// No auto-compaction: the leg measures the absorb and compaction
 		// phases separately, so the trigger is explicit below.
 		MinCompactElems: 1 << 30,
-		Metrics:         reg,
+		// Segment merges run inline, so the tiers the pre-compaction
+		// accuracy phase reads depend on the seed alone, not on timing.
+		Synchronous: true,
+		Metrics:     reg,
 	})
 	if err != nil {
 		return fmt.Errorf("bench: %s: %w", ds, err)
@@ -92,11 +95,10 @@ func benchUpdate(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds s
 	}
 	um["update_mre_pct"] = 100 * errSum / float64(len(w))
 
-	// Compaction phase: fold the delta back into the base on the background
+	// Compaction phase: fold the delta back into the base on a helper
 	// goroutine while this goroutine keeps querying, recording the latency
-	// of every estimate that overlapped the in-flight build. The drain-loop
-	// Compact runs in a helper goroutine purely to expose the overlap
-	// window; the compaction itself is already backgrounded by the stack.
+	// of every estimate that overlapped the in-flight build. The stack is
+	// synchronous, so the compaction runs inside the helper's Compact call.
 	hDuring := reg.Histogram("bench." + metricname.Clean(ds) + ".update_compact_query_seconds")
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -184,6 +184,36 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestUpdateReplicationBombRejected sends a body of about 60 bytes whose
+// compact subtree asks for 2e10 replicas of one element. The parser must
+// refuse the count before allocating for it: the update gets a 400
+// parse_error, and the server keeps answering.
+func TestUpdateReplicationBombRejected(t *testing.T) {
+	s, stk := newLiveServer(t, "r(a(b))", tier.Options{Synchronous: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"op":"insert","parent_oid":1,"subtree":"a*20000000000"}`
+	resp, err := ts.Client().Post(ts.URL+"/update", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || er.Code != "parse_error" {
+		t.Fatalf("replication bomb: status %d code %q, want 400 parse_error", resp.StatusCode, er.Code)
+	}
+	if got := estimate(t, ts, "//a/b").Selectivity; got != 1 {
+		t.Fatalf("//a/b selectivity %v after the rejected update, want 1", got)
+	}
+	if stk.Doc().Size() != 3 {
+		t.Fatalf("document size %d after the rejected update, want 3", stk.Doc().Size())
+	}
+}
+
 func TestUpdateDuringCompactionDoesNotBlockEstimates(t *testing.T) {
 	// Thresholds low enough that the insert below trips a background
 	// compaction, with the build phase stretched so the follow-up estimate

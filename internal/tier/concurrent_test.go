@@ -118,7 +118,6 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 		CompactDelay:    20 * time.Millisecond,
 		MinCompactElems: 32,
 		CompactFraction: 0.01,
-		SealUnits:       4,
 		Metrics:         obs.NewRegistry(),
 	}
 	st := mustStack(t, "r(a(b,b),a(b),c(d),c(d,d))", opts)
@@ -144,7 +143,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 
 	rng := testRNG(17)
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 120; i++ {
 		randomOp(t, st, &rng)
 	}
 	st.Compact()
@@ -163,5 +162,120 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
 	if got, want := st.View().Base.Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("post-episode base fp %016x, rebuild fp %016x", got, want)
+	}
+}
+
+// TestMergesWaitOutCompaction holds a background compaction open with
+// CompactDelay while absorbs keep sealing segments. Merges must not start
+// while the compaction is in flight, every view readers load must conserve
+// elements, the segments sealed meanwhile must merge once it publishes,
+// and after Compact the base must fingerprint like a rebuild. A merge
+// whose inputs a compaction dropped must be discarded. Run under -race.
+func TestMergesWaitOutCompaction(t *testing.T) {
+	const compactDelay = 400 * time.Millisecond
+	opts := Options{
+		BudgetBytes:     4096,
+		CompactDelay:    compactDelay,
+		MinCompactElems: 1 << 30, // only the explicit compactions below
+		Metrics:         obs.NewRegistry(),
+	}
+	st := mustStack(t, "r(a(b,b),a(b),c(d),c(d,d))", opts)
+	merges, seals := st.reg.Counter("tier.merges"), st.reg.Counter("tier.seals")
+	rng := testRNG(23)
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	var failMsg atomic.Pointer[string]
+	q := mustQuery(t, "//a/b")
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				v := st.View()
+				if err := v.CheckConservation(); err != nil {
+					msg := err.Error()
+					failMsg.CompareAndSwap(nil, &msg)
+					return
+				}
+				v.Estimate(q, eval.Options{})
+			}
+		}()
+	}
+
+	// Seal and merge a few segments, then let the background merges settle.
+	for i := 0; i < 4*sealUnits; i++ {
+		randomOp(t, st, &rng)
+	}
+	st.mu.Lock()
+	for st.mergeDone != nil {
+		ch := st.mergeDone
+		st.mu.Unlock()
+		<-ch
+		st.mu.Lock()
+	}
+	// A merge of these segments, built off the lock the way runMerge does,
+	// that the compaction below overtakes.
+	stale := append([]*segment(nil), st.segments...)
+	st.mu.Unlock()
+	if len(stale) == 0 {
+		t.Fatal("no sealed segment to merge")
+	}
+	merged := fold(stale)
+
+	// Hold a compaction open while absorbs keep sealing. Until it
+	// publishes (the epoch moves), the merge count must not move.
+	epoch := st.View().Epoch
+	compacted := make(chan struct{})
+	go func() { defer close(compacted); st.Compact() }()
+	for !st.Compacting() {
+		time.Sleep(time.Millisecond)
+	}
+	mergesBefore, sealsBefore := merges.Value(), seals.Value()
+	sealedDuring := int64(0)
+	for i := 0; i < 4*sealUnits; i++ {
+		randomOp(t, st, &rng)
+		got, sealed := merges.Value(), seals.Value()
+		if st.View().Epoch != epoch {
+			break // published; merges may run again
+		}
+		if got != mergesBefore {
+			t.Fatalf("a merge published while the compaction was in flight (%d -> %d merges)", mergesBefore, got)
+		}
+		sealedDuring = sealed - sealsBefore
+	}
+	if sealedDuring < 2 {
+		t.Fatalf("only %d seals overlapped the %v compaction; the overlap was not exercised", sealedDuring, compactDelay)
+	}
+	<-compacted
+	if merges.Value() == mergesBefore {
+		t.Fatal("segments sealed during the compaction were not merged after it published")
+	}
+
+	st.mu.Lock()
+	installed := st.installMergeLocked(stale, merged)
+	st.mu.Unlock()
+	if installed {
+		t.Fatal("installed a merge whose inputs a compaction dropped")
+	}
+
+	st.Compact()
+	stop.Store(true)
+	wg.Wait()
+	if msg := failMsg.Load(); msg != nil {
+		t.Fatal(*msg)
+	}
+	v := st.View()
+	if err := v.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if v.Tiers() != 0 {
+		t.Fatalf("Compact left %d tiers", v.Tiers())
+	}
+	fresh := xmltree.NewTree()
+	fresh.Root = copyInto(fresh, st.Doc().Root)
+	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
+	if got, want := v.Base.Fingerprint(), oracle.Fingerprint(); got != want {
+		t.Fatalf("post-compaction base fp %016x, rebuild fp %016x", got, want)
 	}
 }

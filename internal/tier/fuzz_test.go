@@ -36,6 +36,13 @@ func FuzzTierUpdates(f *testing.F) {
 		{6, 0, 6, 1, 6, 2, 6, 3, 6, 4},                            // query-only
 		{0, 4, 5, 2, 9, 0, 7, 5, 5, 0, 1, 2, 3, 9, 6, 2, 0, 3, 3}, // long mix
 	}
+	// Enough inserts to seal several segments, merge them, and cross a
+	// compaction, then a query.
+	var sealing []byte
+	for i := 0; i < 48; i++ {
+		sealing = append(sealing, 0, byte(7*i), byte(i))
+	}
+	seeds = append(seeds, append(sealing, 6, 1))
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -55,7 +62,6 @@ func FuzzTierUpdates(f *testing.F) {
 		st, err := New(doc, Options{
 			BudgetBytes:     4096,
 			Synchronous:     true,
-			SealUnits:       4,
 			MinCompactElems: 64,
 			CompactFraction: 0.05,
 			Metrics:         obs.NewRegistry(),
@@ -73,7 +79,7 @@ func FuzzTierUpdates(f *testing.F) {
 			return b, true
 		}
 	ops:
-		for op := 0; op < 64; op++ {
+		for op := 0; op < 128; op++ {
 			sel, ok := pop()
 			if !ok {
 				break

@@ -6,22 +6,30 @@
 // never block on a build; deterministic background compactions fold the
 // delta back into a fresh base when it exceeds a size ratio.
 //
-// The delta representation is spine-relative: each absorbed update becomes
-// a pair of tiny exact sketches — the root-to-parent label spine with the
-// inserted (or deleted) subtree grafted on, and the bare spine — and
-// contributes sign x (est(spine+subtree) - est(spine)) to an estimate.
-// The subtraction cancels matches the base already counts along the spine
-// while keeping predicate activation the new subtree causes on its own
-// ancestor chain. Matches that pair new elements with off-spine base
-// elements are not visible to a delta tier; that approximation is bounded
-// by the differential test layer and disappears entirely at the next
-// compaction, which rebuilds from the maintained count-stable summary
+// The delta representation is spine-relative: each delta tier is a window
+// onto the document, two tiny exact sketches over the root-to-parent label
+// spines of its updates (shared by ancestor OID), one with the inserted
+// subtrees grafted on and one with the deleted subtrees, and contributes
+// est(after) - est(before) to an estimate. The subtraction cancels matches
+// the base already counts along the spines while keeping predicate
+// activation the changed subtrees cause on their own ancestor chains.
+// Matches that pair new elements with off-spine base elements are not
+// visible to a delta tier, except that a same-label sibling the parent
+// already had is kept as a childless witness; that approximation is
+// bounded by the differential test layer and disappears entirely at the
+// next compaction, which rebuilds from the maintained count-stable summary
 // (exact by Lemma 3.1).
+//
+// Each update opens a one-unit tier; every sealUnits of them seal into a
+// segment, and background merges fold runs of similar-sized segments into
+// one, so an estimate runs O(log U) tier evaluations for U units absorbed
+// since the last compaction rather than one per seal.
 package tier
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +50,6 @@ type Options struct {
 	// Workers is the TSBuild worker count for compactions. 0 lets TSBuild
 	// pick GOMAXPROCS; output is bit-identical for any value.
 	Workers int
-	// SealUnits bounds the unsealed tier-0 unit list: when reached, the
-	// units are folded into one merged segment (shared spines, two sketches
-	// per sign). Defaults to 32.
-	SealUnits int
 	// CompactFraction triggers a major compaction when the absorbed delta
 	// exceeds this fraction of the base element count. Defaults to 0.10.
 	CompactFraction float64
@@ -53,9 +57,9 @@ type Options struct {
 	// ratio test applies, so small documents do not compact on every
 	// update. Defaults to 512.
 	MinCompactElems int
-	// Synchronous runs compactions inline in the triggering call instead of
-	// a background goroutine. Tests and determinism checks use this; the
-	// serving path leaves it false.
+	// Synchronous runs compactions and segment merges inline in the
+	// triggering call instead of a background goroutine. Tests and
+	// determinism checks use this; the serving path leaves it false.
 	Synchronous bool
 	// CompactDelay artificially lengthens a compaction's build phase. It is
 	// a test hook (like serve's injected eval delay) for overlapping
@@ -65,12 +69,15 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// sealUnits bounds the unsealed tier-0 unit list: when reached, the units
+// are folded into one segment. Every tier costs an estimate two
+// evaluations, open units included, and merges keep the segment count
+// logarithmic however often seals happen, so seals stay small.
+const sealUnits = 8
+
 func (o Options) withDefaults() Options {
 	if o.BudgetBytes <= 0 {
 		o.BudgetBytes = 8192
-	}
-	if o.SealUnits <= 0 {
-		o.SealUnits = 32
 	}
 	if o.CompactFraction <= 0 {
 		o.CompactFraction = 0.10
@@ -93,7 +100,7 @@ type Stack struct {
 	m         *stable.Maintainer
 	byOID     map[int]*xmltree.Node
 	seq       uint64
-	tier0     []*unit
+	tier0     []*segment // open units, one member each
 	segments  []*segment
 	base      *sketch.Sketch
 	baseElems int
@@ -103,9 +110,11 @@ type Stack struct {
 	view        atomic.Pointer[View]
 	compacting  atomic.Bool
 	compactDone chan struct{} // closed when the in-flight compaction publishes
+	mergeDone   chan struct{} // non-nil while a merge is in flight; closed when it ends
 
 	mAbsorbs     *obs.Counter
 	mSeals       *obs.Counter
+	mMerges      *obs.Counter
 	mCompactions *obs.Counter
 	mEstimates   *obs.Counter
 	gDelta       *obs.Gauge
@@ -130,6 +139,7 @@ func New(doc *xmltree.Tree, opts Options) (*Stack, error) {
 	doc.PreOrder(func(n *xmltree.Node) { s.byOID[n.OID] = n })
 	s.mAbsorbs = s.reg.Counter("tier.absorbs")
 	s.mSeals = s.reg.Counter("tier.seals")
+	s.mMerges = s.reg.Counter("tier.merges")
 	s.mCompactions = s.reg.Counter("tier.compactions")
 	s.mEstimates = s.reg.Counter("tier.estimates")
 	s.gDelta = s.reg.Gauge("tier.delta_elems")
@@ -164,8 +174,6 @@ func (s *Stack) Insert(parentOID int, proto *xmltree.Tree) (int, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("tier: Insert: unknown parent OID %d", parentOID)
 	}
-	spineLabels := s.spineLabelsLocked(parent)
-	spineOIDs := s.spineOIDsLocked(parent)
 	root, err := s.m.InsertSubtree(parent, proto)
 	if err != nil {
 		s.mu.Unlock()
@@ -180,8 +188,7 @@ func (s *Stack) Insert(parentOID int, proto *xmltree.Tree) (int, error) {
 	}
 	register(root)
 	s.seq++
-	u := newUnit(s.seq, +1, spineLabels, spineOIDs, root)
-	run := s.absorbLocked(u)
+	run := s.absorbLocked(s.unitLocked(+1, parent, root))
 	s.mu.Unlock()
 	if run != nil {
 		run()
@@ -203,10 +210,8 @@ func (s *Stack) Delete(oid int) error {
 		s.mu.Unlock()
 		return fmt.Errorf("tier: Delete: cannot delete the document root")
 	}
-	spineLabels := s.spineLabelsLocked(parent)
-	spineOIDs := s.spineOIDsLocked(parent)
 	s.seq++
-	u := newUnit(s.seq, -1, spineLabels, spineOIDs, victim)
+	u := s.unitLocked(-1, parent, victim)
 	if err := s.m.DeleteSubtree(victim); err != nil {
 		s.seq--
 		s.mu.Unlock()
@@ -235,16 +240,23 @@ func (s *Stack) EstimateContext(ctx context.Context, q *query.Query, opts eval.O
 }
 
 // Compact folds every delta tier absorbed before the call into the base
-// and waits for the publish; a compaction already in flight is waited out
-// first (its snapshot may predate recent absorbs, so another round runs).
-// Absorbs issued concurrently with Compact may leave fresh tiers behind.
+// and waits for the publish; a compaction or merge already in flight is
+// waited out first (a compaction's snapshot may predate recent absorbs, so
+// another round runs). Absorbs issued concurrently with Compact may leave
+// fresh tiers behind.
 func (s *Stack) Compact() {
 	for {
 		s.mu.Lock()
-		if s.compacting.Load() {
-			ch := s.compactDone
+		var busy chan struct{}
+		switch {
+		case s.compacting.Load():
+			busy = s.compactDone
+		case s.mergeDone != nil:
+			busy = s.mergeDone
+		}
+		if busy != nil {
 			s.mu.Unlock()
-			<-ch
+			<-busy
 			continue
 		}
 		if len(s.segments) == 0 && len(s.tier0) == 0 {
@@ -262,26 +274,22 @@ func (s *Stack) Compact() {
 }
 
 // absorbLocked records a freshly built unit, reseals/publishes, and decides
-// whether to start a compaction. The returned thunk is non-nil only in
-// Synchronous mode; the caller must invoke it after releasing the lock.
-func (s *Stack) absorbLocked(u *unit) func() {
+// whether to start a compaction or, failing that, a merge. The returned
+// thunk is non-nil only in Synchronous mode; the caller must invoke it
+// after releasing the lock.
+func (s *Stack) absorbLocked(u *segment) func() {
 	s.tier0 = append(s.tier0, u)
-	s.deltaAbs += u.elems
+	s.deltaAbs += u.absElems
 	s.mAbsorbs.Inc()
-	if len(s.tier0) >= s.opts.SealUnits {
+	if len(s.tier0) >= sealUnits {
 		s.sealLocked()
 	}
 	s.publishLocked()
-	if s.compacting.Load() {
-		return nil
+	if !s.compacting.Load() && s.deltaAbs >= s.opts.MinCompactElems &&
+		float64(s.deltaAbs) >= s.opts.CompactFraction*float64(s.baseElems) {
+		return s.startCompactionLocked()
 	}
-	if s.deltaAbs < s.opts.MinCompactElems {
-		return nil
-	}
-	if float64(s.deltaAbs) < s.opts.CompactFraction*float64(s.baseElems) {
-		return nil
-	}
-	return s.startCompactionLocked()
+	return s.startMergeLocked()
 }
 
 // sealLocked folds the unsealed tier-0 units into one merged segment.
@@ -289,9 +297,107 @@ func (s *Stack) sealLocked() {
 	if len(s.tier0) == 0 {
 		return
 	}
-	s.segments = append(s.segments, newSegment(s.tier0))
+	s.segments = append(s.segments, fold(s.tier0))
 	s.tier0 = nil
 	s.mSeals.Inc()
+}
+
+// fold rebuilds segs, in absorb order, as one segment over their members.
+func fold(segs []*segment) *segment {
+	var members []member
+	for _, seg := range segs {
+		members = append(members, seg.members...)
+	}
+	return newSegment(members)
+}
+
+// mergeRunLocked picks the segments the next merge folds into one: the
+// newest segment plus each older neighbour that holds at most twice the
+// units gathered so far. A unit's segment grows by half or more every
+// time it is merged again, so each unit is rebuilt O(log U) times between
+// compactions and the segment count stays O(log U). Nil when the run is a
+// lone segment.
+func (s *Stack) mergeRunLocked() []*segment {
+	i := len(s.segments) - 1
+	if i < 1 {
+		return nil
+	}
+	units := len(s.segments[i].members)
+	for i > 0 && len(s.segments[i-1].members) <= 2*units {
+		i--
+		units += len(s.segments[i].members)
+	}
+	if i == len(s.segments)-1 {
+		return nil
+	}
+	return append([]*segment(nil), s.segments[i:]...)
+}
+
+// startMergeLocked schedules a merge of the run mergeRunLocked picks,
+// unless one is already in flight or a compaction is (the compaction drops
+// every segment the merge could fold). Like startCompactionLocked, it
+// returns the merge as a thunk in Synchronous mode and otherwise runs it
+// on a background goroutine and returns nil.
+func (s *Stack) startMergeLocked() func() {
+	if s.mergeDone != nil || s.compacting.Load() {
+		return nil
+	}
+	run := s.mergeRunLocked()
+	if run == nil {
+		return nil
+	}
+	done := make(chan struct{})
+	s.mergeDone = done
+	work := func() { s.runMerge(run, done) }
+	if s.opts.Synchronous {
+		return work
+	}
+	go work() //lint:nondet merges run off the query path; a merged segment depends only on its inputs' members
+	return nil
+}
+
+// runMerge rebuilds run as one segment off the lock and installs it, then
+// starts the next merge if seals landed meanwhile.
+func (s *Stack) runMerge(run []*segment, done chan struct{}) {
+	merged := fold(run)
+	s.mu.Lock()
+	s.installMergeLocked(run, merged)
+	s.mergeDone = nil
+	close(done)
+	next := s.startMergeLocked()
+	s.mu.Unlock()
+	if next != nil {
+		next()
+	}
+}
+
+// installMergeLocked replaces run with merged and publishes, but only if
+// run still sits contiguously in s.segments. Otherwise a compaction
+// published meanwhile and dropped the run, whose units the new base
+// already counts, so merged is discarded. Reports whether it installed.
+func (s *Stack) installMergeLocked(run []*segment, merged *segment) bool {
+	at := -1
+	for i, seg := range s.segments {
+		if seg == run[0] {
+			at = i
+			break
+		}
+	}
+	if at < 0 || at+len(run) > len(s.segments) {
+		return false
+	}
+	for j, seg := range run {
+		if s.segments[at+j] != seg {
+			return false
+		}
+	}
+	segs := make([]*segment, 0, len(s.segments)-len(run)+1)
+	segs = append(segs, s.segments[:at]...)
+	segs = append(segs, merged)
+	s.segments = append(segs, s.segments[at+len(run):]...)
+	s.publishLocked()
+	s.mMerges.Inc()
+	return true
 }
 
 // startCompactionLocked seals the open tier, snapshots the maintained
@@ -308,7 +414,9 @@ func (s *Stack) startCompactionLocked() func() {
 	s.compactDone = done
 	run := func() {
 		defer close(done)
-		s.runCompaction(canon, elems, boundary)
+		if next := s.runCompaction(canon, elems, boundary); next != nil {
+			next()
+		}
 	}
 	if s.opts.Synchronous {
 		return run
@@ -319,8 +427,10 @@ func (s *Stack) startCompactionLocked() func() {
 
 // runCompaction builds a fresh base from the snapshot and publishes it,
 // dropping every delta segment the snapshot covers. Queries keep hitting
-// the previous view until the single atomic store below.
-func (s *Stack) runCompaction(canon *stable.Synopsis, elems int, boundary uint64) {
+// the previous view until the single atomic store below. Segments sealed
+// during the build may call for a merge, which no seal could start while
+// the compaction was in flight; its thunk is returned in Synchronous mode.
+func (s *Stack) runCompaction(canon *stable.Synopsis, elems int, boundary uint64) func() {
 	start := time.Now()
 	if d := s.opts.CompactDelay; d > 0 {
 		time.Sleep(d)
@@ -342,13 +452,15 @@ func (s *Stack) runCompaction(canon *stable.Synopsis, elems int, boundary uint64
 		s.deltaAbs += seg.absElems
 	}
 	for _, u := range s.tier0 {
-		s.deltaAbs += u.elems
+		s.deltaAbs += u.absElems
 	}
 	s.publishLocked()
 	s.compacting.Store(false)
+	next := s.startMergeLocked()
 	s.mu.Unlock()
 	s.mCompactions.Inc()
 	s.wCompactLat.Observe(time.Since(start).Seconds())
+	return next
 }
 
 // publishLocked swaps in a fresh immutable View of the current state.
@@ -359,8 +471,8 @@ func (s *Stack) publishLocked() {
 		Elems:     s.m.Doc().Size(),
 		Epoch:     s.epoch,
 		Seq:       s.seq,
-		segments:  append([]*segment(nil), s.segments...),
-		units:     append([]*unit(nil), s.tier0...),
+		tiers:     slices.Concat(s.segments, s.tier0),
+		sealed:    len(s.segments),
 	}
 	s.view.Store(v)
 	s.gDelta.Set(int64(s.deltaAbs))
@@ -371,28 +483,16 @@ func (s *Stack) publishLocked() {
 	s.gDepth.Set(depth)
 }
 
-// spineLabelsLocked returns the labels of the path document root .. n.
-func (s *Stack) spineLabelsLocked(n *xmltree.Node) []string {
-	var rev []string
-	for cur := n; cur != nil; cur = s.m.Parent(cur) {
-		rev = append(rev, cur.Label)
+// unitLocked snapshots the update numbered s.seq, of subtree src under
+// parent, as an open unit (see newUnit).
+func (s *Stack) unitLocked(sign int, parent, src *xmltree.Node) *segment {
+	var labels []string
+	var oids []int
+	for cur := parent; cur != nil; cur = s.m.Parent(cur) {
+		labels = append(labels, cur.Label)
+		oids = append(oids, cur.OID)
 	}
-	out := make([]string, len(rev))
-	for i, l := range rev {
-		out[len(rev)-1-i] = l
-	}
-	return out
-}
-
-// spineOIDsLocked returns the OIDs of the path document root .. n.
-func (s *Stack) spineOIDsLocked(n *xmltree.Node) []int {
-	var rev []int
-	for cur := n; cur != nil; cur = s.m.Parent(cur) {
-		rev = append(rev, cur.OID)
-	}
-	out := make([]int, len(rev))
-	for i, oid := range rev {
-		out[len(rev)-1-i] = oid
-	}
-	return out
+	slices.Reverse(labels)
+	slices.Reverse(oids)
+	return newUnit(s.seq, sign, labels, oids, parent, src)
 }

@@ -114,28 +114,63 @@ func TestStackDeltaEstimateExactOnChainInsert(t *testing.T) {
 	}
 }
 
+// TestStackSealing absorbs enough updates to seal many segments and
+// checks the merge policy's shape: every view conserves elements, the open
+// tier stays under the seal bound, merges keep the segment count
+// logarithmic, and the segments hold every absorbed unit exactly once, in
+// absorb order.
 func TestStackSealing(t *testing.T) {
 	opts := testOpts()
-	opts.SealUnits = 3
-	// Keep compaction out of the way; this test is about seals.
+	// Keep compaction out of the way; this test is about seals and merges.
 	opts.MinCompactElems = 1 << 30
 	st := mustStack(t, "r(a(b),a(b))", opts)
 	rng := testRNG(7)
-	for i := 0; i < 10; i++ {
+	const ops = 200
+	maxTiers := 0
+	for i := 0; i < ops; i++ {
 		randomOp(t, st, &rng)
-		if err := st.View().CheckConservation(); err != nil {
+		v := st.View()
+		if err := v.CheckConservation(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		maxTiers = max(maxTiers, v.Tiers())
 	}
 	v := st.View()
-	if len(v.segments) == 0 {
-		t.Fatal("no segments sealed after 10 ops with SealUnits=3")
+	if v.sealed == 0 {
+		t.Fatalf("no segments sealed after %d ops", ops)
 	}
-	if len(v.units) >= opts.SealUnits {
-		t.Fatalf("unsealed tier holds %d units, seal bound %d", len(v.units), opts.SealUnits)
+	if open := len(v.tiers) - v.sealed; open >= sealUnits {
+		t.Fatalf("unsealed tier holds %d units, seal bound %d", open, sealUnits)
 	}
-	if got := st.reg.Counter("tier.seals").Value(); got == 0 {
-		t.Fatal("tier.seals not incremented")
+	if got := st.reg.Counter("tier.seals").Value(); got != ops/sealUnits {
+		t.Fatalf("tier.seals = %d, want %d", got, ops/sealUnits)
+	}
+	if got := st.reg.Counter("tier.merges").Value(); got == 0 {
+		t.Fatal("tier.merges not incremented")
+	}
+	// Without merges the 25 seals would leave 25 segments. The merge
+	// policy never holds more than 3 of them over this many seals, so
+	// with the open tier a view has at most 4 tiers.
+	if maxTiers > 4 {
+		t.Fatalf("depth reached %d tiers over %d ops", maxTiers, ops)
+	}
+	var seq uint64
+	for i, seg := range v.tiers {
+		if i >= v.sealed && len(seg.members) != 1 {
+			t.Fatalf("open unit %d holds %d members", i, len(seg.members))
+		}
+		for _, m := range seg.members {
+			seq++
+			if m.seq != seq {
+				t.Fatalf("tier %d holds unit %d where unit %d belongs", i, m.seq, seq)
+			}
+		}
+		if seg.maxSeq != seq {
+			t.Fatalf("tier %d: maxSeq %d, last member %d", i, seg.maxSeq, seq)
+		}
+	}
+	if seq != ops {
+		t.Fatalf("tiers hold %d units, %d absorbed", seq, ops)
 	}
 }
 

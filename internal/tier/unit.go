@@ -6,11 +6,10 @@ import (
 	"treesketch/internal/xmltree"
 )
 
-// unit is one absorbed update in spine-relative form: two tiny exact
-// sketches (bare ancestor spine, and spine with the subtree grafted on)
-// whose estimate difference is the update's contribution to a query.
-// Units are immutable once built.
-type unit struct {
+// member is one absorbed update as a segment keeps it: the update's shape
+// without any sketches, which is enough to rebuild the segment inside a
+// larger merge. Members are immutable once built.
+type member struct {
 	seq   uint64
 	sign  int // +1 insert, -1 delete
 	elems int // subtree element count, always > 0
@@ -18,78 +17,76 @@ type unit struct {
 	spineLabels []string      // labels of document root .. parent
 	spineOIDs   []int         // OIDs of document root .. parent (segment merge keys)
 	sub         *xmltree.Node // detached copy of the subtree, in a scratch tree
-
-	full  *sketch.Sketch // exact sketch of spine + subtree
-	spine *sketch.Sketch // exact sketch of the bare spine
+	// witness records that the parent had another child with the
+	// subtree root's label when the update happened. Both windows then
+	// carry a childless copy of that label under the parent, so an
+	// existence test the parent passed before the update still passes on
+	// both sides and contributes nothing.
+	witness bool
 }
 
-// segment is a sealed tier: the units of one seal merged into at most two
-// forest sketches per sign, with spines shared by ancestor OID so repeated
-// updates under the same parent do not replicate the ancestor chain.
-// Segments are immutable once built.
+// segment is a delta tier: one window onto the document covering its
+// members, as two tiny exact sketches. Members share spine nodes by
+// ancestor OID, so updates under common ancestors do not replicate the
+// ancestor chain, and the inserted and deleted subtrees see the same
+// context. An open unit is a one-member segment; a seal or merge folds
+// several. Segments are immutable once built.
 type segment struct {
 	maxSeq   uint64
 	elems    int // signed element delta
 	absElems int // unsigned absorbed element total
-	units    int
 
-	pos, posSpine *sketch.Sketch // insert side; nil when no inserts
-	neg, negSpine *sketch.Sketch // delete side; nil when no deletes
+	members []member // in absorb order; a merge rebuilds from these
+
+	// after is the window with the inserted subtrees grafted on, before
+	// the same window with the deleted ones; the segment contributes
+	// est(after) - est(before) to an estimate.
+	after, before *sketch.Sketch
 }
 
-// newUnit snapshots an update as a unit. src is the subtree root in the
-// live document (for an insert, the just-adopted root; for a delete, the
-// victim before detachment); it is deep-copied, so the unit stays valid
-// after the document moves on.
-func newUnit(seq uint64, sign int, spineLabels []string, spineOIDs []int, src *xmltree.Node) *unit {
-	scratch := xmltree.NewTree()
-	sub := copyInto(scratch, src)
-
-	spineTree := chainTree(spineLabels)
-	full := chainTree(spineLabels)
-	graft(full, deepestChild(full.Root), copyInto(full, src))
-
-	return &unit{
+// newUnit snapshots an update as a one-member segment. src is the subtree
+// root in the live document (for an insert, the just-adopted root; for a
+// delete, the victim before detachment) and parent its parent; src is
+// deep-copied, so the unit stays valid after the document moves on.
+func newUnit(seq uint64, sign int, spineLabels []string, spineOIDs []int, parent, src *xmltree.Node) *segment {
+	sub := copyInto(xmltree.NewTree(), src)
+	witness := false
+	for _, c := range parent.Children {
+		if c != src && c.Label == src.Label {
+			witness = true
+			break
+		}
+	}
+	return newSegment([]member{{
 		seq:         seq,
 		sign:        sign,
 		elems:       countNodes(sub),
 		spineLabels: spineLabels,
 		spineOIDs:   spineOIDs,
 		sub:         sub,
-		full:        sketch.FromStable(stable.Build(full)),
-		spine:       sketch.FromStable(stable.Build(spineTree)),
-	}
+		witness:     witness,
+	}})
 }
 
-// newSegment merges units (in absorb order) into one sealed segment.
-func newSegment(units []*unit) *segment {
-	seg := &segment{units: len(units)}
-	type side struct {
-		full  *xmltree.Tree
-		spine *xmltree.Tree
-		// byOID maps a live-document ancestor OID to its copy in each
-		// forest, so units sharing ancestors share spine nodes.
-		fullByOID  map[int]*xmltree.Node
-		spineByOID map[int]*xmltree.Node
+// newSegment builds the window over members (in absorb order). It takes
+// ownership of the slice.
+func newSegment(members []member) *segment {
+	seg := &segment{members: members}
+	after, before := xmltree.NewTree(), xmltree.NewTree()
+	afterByOID, beforeByOID := map[int]*xmltree.Node{}, map[int]*xmltree.Node{}
+	type witnessKey struct {
+		parent int
+		label  string
 	}
-	sides := map[int]*side{}
-	ensure := func(sign int) *side {
-		sd := sides[sign]
-		if sd == nil {
-			sd = &side{
-				full: xmltree.NewTree(), spine: xmltree.NewTree(),
-				fullByOID: map[int]*xmltree.Node{}, spineByOID: map[int]*xmltree.Node{},
-			}
-			sides[sign] = sd
-		}
-		return sd
-	}
-	chain := func(t *xmltree.Tree, byOID map[int]*xmltree.Node, u *unit) *xmltree.Node {
+	witnessed := map[witnessKey]bool{}
+	// chain adds m's spine to t, sharing nodes by live-document OID, and
+	// returns the copy of m's parent.
+	chain := func(t *xmltree.Tree, byOID map[int]*xmltree.Node, m *member) *xmltree.Node {
 		var parent *xmltree.Node
-		for i, oid := range u.spineOIDs {
+		for i, oid := range m.spineOIDs {
 			n := byOID[oid]
 			if n == nil {
-				n = t.NewNode(u.spineLabels[i])
+				n = t.NewNode(m.spineLabels[i])
 				byOID[oid] = n
 				if parent == nil {
 					t.Root = n
@@ -101,61 +98,32 @@ func newSegment(units []*unit) *segment {
 		}
 		return parent
 	}
-	// Bounded by construction: units come from one decoded update batch,
-	// whose size the serve layer caps before decoding (http.MaxBytesReader),
-	// so the whole build is proportional to an already-admitted request body.
-	//lint:ctxpoll unit batch and subtree sizes are bounded by the serve layer's request-body cap
-	for _, u := range units {
-		seg.elems += u.sign * u.elems
-		seg.absElems += u.elems
-		if u.seq > seg.maxSeq {
-			seg.maxSeq = u.seq
+	// Bounded by the compaction trigger: a segment only ever folds members
+	// absorbed since the last compaction boundary, and absorbs start a
+	// compaction once those members' elements pass max(MinCompactElems,
+	// CompactFraction x base elements). A seal on the absorb path folds at
+	// most sealUnits members; the larger merges run off the request path.
+	//lint:ctxpoll members are the units since the last compaction, bounded by its trigger
+	for i := range members {
+		m := &members[i]
+		seg.elems += m.sign * m.elems
+		seg.absElems += m.elems
+		seg.maxSeq = max(seg.maxSeq, m.seq)
+		pa, pb := chain(after, afterByOID, m), chain(before, beforeByOID, m)
+		if k := (witnessKey{m.spineOIDs[len(m.spineOIDs)-1], m.sub.Label}); m.witness && !witnessed[k] {
+			witnessed[k] = true
+			pa.Children = append(pa.Children, after.NewNode(k.label))
+			pb.Children = append(pb.Children, before.NewNode(k.label))
 		}
-		sd := ensure(u.sign)
-		graft(sd.full, chain(sd.full, sd.fullByOID, u), copyInto(sd.full, u.sub))
-		chain(sd.spine, sd.spineByOID, u)
-	}
-	if sd := sides[+1]; sd != nil {
-		seg.pos = sketch.FromStable(stable.Build(sd.full))
-		seg.posSpine = sketch.FromStable(stable.Build(sd.spine))
-	}
-	if sd := sides[-1]; sd != nil {
-		seg.neg = sketch.FromStable(stable.Build(sd.full))
-		seg.negSpine = sketch.FromStable(stable.Build(sd.spine))
-	}
-	return seg
-}
-
-// chainTree builds a single root-to-leaf chain with the given labels.
-func chainTree(labels []string) *xmltree.Tree {
-	t := xmltree.NewTree()
-	var parent *xmltree.Node
-	for _, l := range labels {
-		n := t.NewNode(l)
-		if parent == nil {
-			t.Root = n
+		if m.sign > 0 {
+			pa.Children = append(pa.Children, copyInto(after, m.sub))
 		} else {
-			parent.Children = append(parent.Children, n)
+			pb.Children = append(pb.Children, copyInto(before, m.sub))
 		}
-		parent = n
 	}
-	return t
-}
-
-// deepestChild follows first children to the end of a chain.
-func deepestChild(n *xmltree.Node) *xmltree.Node {
-	for len(n.Children) > 0 {
-		n = n.Children[0]
-	}
-	return n
-}
-
-// graft attaches an already-copied subtree under parent. The subtree's
-// nodes must have been created through t.NewNode (see copyInto) so the
-// tree's size bookkeeping is already right.
-func graft(t *xmltree.Tree, parent, sub *xmltree.Node) {
-	_ = t
-	parent.Children = append(parent.Children, sub)
+	seg.after = sketch.FromStable(stable.Build(after))
+	seg.before = sketch.FromStable(stable.Build(before))
+	return seg
 }
 
 // copyInto deep-copies the subtree rooted at src into t and returns the

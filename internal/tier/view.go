@@ -27,8 +27,8 @@ type View struct {
 	Epoch uint64
 	Seq   uint64
 
-	segments []*segment
-	units    []*unit
+	tiers  []*segment // sealed segments, then the open units (one member each)
+	sealed int        // how many of tiers are sealed segments
 }
 
 // Info reports how a merged estimate was put together.
@@ -49,19 +49,16 @@ type Info struct {
 // DeltaElems returns the signed element delta the view's tiers carry.
 func (v *View) DeltaElems() int {
 	d := 0
-	for _, seg := range v.segments {
+	for _, seg := range v.tiers {
 		d += seg.elems
-	}
-	for _, u := range v.units {
-		d += u.sign * u.elems
 	}
 	return d
 }
 
 // Tiers reports the number of delta tiers in the view.
 func (v *View) Tiers() int {
-	n := len(v.segments)
-	if len(v.units) > 0 {
+	n := v.sealed
+	if len(v.tiers) > v.sealed {
 		n++
 	}
 	return n
@@ -81,7 +78,7 @@ func (v *View) CheckConservation() error {
 // EstimateContext answers q over base+delta. The returned Result is the
 // base evaluation (its result synopsis drives answer shapes and top-k);
 // the float is the merged selectivity: the base estimate plus each tier's
-// spine-subtracted contribution, clamped at zero. opts applies to the base
+// est(after) - est(before), clamped at zero. opts applies to the base
 // evaluation; delta sketches are tiny and always evaluated in batch mode.
 func (v *View) EstimateContext(ctx context.Context, q *query.Query, opts eval.Options) (*eval.Result, float64, Info) {
 	res := eval.ApproxContext(ctx, v.Base, q, opts)
@@ -114,12 +111,8 @@ func (v *View) EstimateContext(ctx context.Context, q *query.Query, opts eval.Op
 		}
 		return dres.Selectivity()
 	}
-	for _, seg := range v.segments {
-		info.Delta += sel(seg.pos) - sel(seg.posSpine)
-		info.Delta -= sel(seg.neg) - sel(seg.negSpine)
-	}
-	for _, u := range v.units {
-		info.Delta += float64(u.sign) * (sel(u.full) - sel(u.spine))
+	for _, seg := range v.tiers {
+		info.Delta += sel(seg.after) - sel(seg.before)
 	}
 	if canceled {
 		res.Canceled = true
@@ -154,18 +147,13 @@ func (v *View) Fingerprint() uint64 {
 		fp(v.Base),
 		uint64(int64(v.BaseElems)),
 		uint64(int64(v.Elems)),
-		uint64(len(v.segments)),
-		uint64(len(v.units)),
+		uint64(v.sealed),
+		uint64(len(v.tiers) - v.sealed),
 	}
-	for _, seg := range v.segments {
+	for _, seg := range v.tiers {
 		tokens = append(tokens,
 			uint64(int64(seg.elems)), uint64(seg.maxSeq),
-			fp(seg.pos), fp(seg.posSpine), fp(seg.neg), fp(seg.negSpine))
-	}
-	for _, u := range v.units {
-		tokens = append(tokens,
-			uint64(int64(u.sign)), uint64(int64(u.elems)),
-			fp(u.full), fp(u.spine))
+			fp(seg.after), fp(seg.before))
 	}
 	return sketch.Combine(tokens...)
 }

@@ -24,12 +24,9 @@ const maxCompactNodes = 1 << 20
 func BuildCompact(s string) (*Tree, error) {
 	p := &compactParser{src: s}
 	t := NewTree()
-	nodes, err := p.node(t)
+	nodes, err := p.node(t, true)
 	if err != nil {
 		return nil, err
-	}
-	if len(nodes) != 1 {
-		return nil, fmt.Errorf("xmltree: compact: root cannot be replicated")
 	}
 	p.skipSpace()
 	if p.pos != len(p.src) {
@@ -65,8 +62,12 @@ func isLabelByte(b byte) bool {
 		('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z') || ('0' <= b && b <= '9')
 }
 
-// node parses one node spec and returns the replicated instances.
-func (p *compactParser) node(t *Tree) ([]*Node, error) {
+// node parses one node spec and returns the replicated instances. A
+// replication count is checked as soon as it is read, before anything is
+// built: the root may not be replicated, and no count may exceed the node
+// budget left, so a short input cannot make the parser allocate for a
+// huge count.
+func (p *compactParser) node(t *Tree, root bool) ([]*Node, error) {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) && isLabelByte(p.src[p.pos]) {
@@ -85,8 +86,13 @@ func (p *compactParser) node(t *Tree) ([]*Node, error) {
 			p.pos++
 		}
 		n, err := strconv.Atoi(p.src[numStart:p.pos])
-		if err != nil || n < 1 {
+		switch {
+		case err != nil || n < 1:
 			return nil, fmt.Errorf("xmltree: compact: bad replication count at offset %d", numStart)
+		case root && n != 1:
+			return nil, fmt.Errorf("xmltree: compact: root cannot be replicated")
+		case n > maxCompactNodes-t.Size():
+			return nil, fmt.Errorf("xmltree: compact: tree exceeds %d nodes", maxCompactNodes)
 		}
 		count = n
 	}
@@ -95,7 +101,7 @@ func (p *compactParser) node(t *Tree) ([]*Node, error) {
 	if p.pos < len(p.src) && p.src[p.pos] == '(' {
 		p.pos++
 		for {
-			kids, err := p.node(t)
+			kids, err := p.node(t, false)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,6 +133,29 @@ func TestCompactErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := BuildCompact(c); err == nil {
 			t.Errorf("BuildCompact accepted %q", c)
+		}
+	}
+}
+
+// TestCompactRejectsReplicationBombsBeforeAllocating feeds counts far
+// beyond the node budget, at the root and below it. Each must fail with an
+// error, and the parser must not allocate for the count first: a count of
+// 2e10 would ask for 160 GB of node pointers.
+func TestCompactRejectsReplicationBombsBeforeAllocating(t *testing.T) {
+	for _, src := range []string{
+		"a*20000000000",
+		"0*00000000000000020000000000",
+		"r(a*20000000000)",
+		"r(a(b*1000),c*1048577)",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := BuildCompact(src); err == nil {
+			t.Errorf("BuildCompact accepted %q", src)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("BuildCompact(%q) allocated %d bytes before failing", src, grew)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package eval
 
 import (
 	"context"
-	"sort"
+	"math"
 
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
@@ -42,10 +42,17 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// maxEmbeddingsCap is the largest MaxEmbeddings honoured. Enumeration
+// work is allowed 64 steps per embedding, and a larger cap would overflow
+// that allowance to a non-positive one that truncates every enumeration at
+// its first step.
+const maxEmbeddingsCap = math.MaxInt / 64
+
 func (o Options) withDefaults() Options {
 	if o.MaxEmbeddings <= 0 {
 		o.MaxEmbeddings = 10000
 	}
+	o.MaxEmbeddings = min(o.MaxEmbeddings, maxEmbeddingsCap)
 	return o
 }
 
@@ -69,21 +76,22 @@ func ApproxContext(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts 
 
 // newApproxer builds the evaluation state shared by the batch and the
 // streaming top-k paths, recording the plan phase (query-variable
-// numbering) as a span on the request trace.
+// numbering) as a span on the request trace. Its working memory is a
+// pooled approxScratch, which the path that runs the evaluation (batch or
+// topK) gives back after flushing its counters.
 func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options) *approxer {
 	reg := obs.Or(opts.Metrics)
 	tr := obs.TraceFrom(ctx)
 	ps := tr.StartSpan("eval.plan")
+	sc := takeScratch(q, len(sk.Nodes))
 	a := &approxer{
 		tr:           tr,
 		sk:           sk,
 		q:            q,
-		qnodes:       q.Vars(),
-		qidx:         make(map[*query.Node]int),
+		sc:           sc,
+		optional:     make([]bool, len(sc.qnodes)),
 		opts:         opts.withDefaults(),
 		conditioning: !opts.PaperMode,
-		selMemo:      make(map[selKey]float64),
-		resIndex:     make(map[resKey]int),
 		reg:          reg,
 		mEmbeddings:  reg.Counter("eval.approx.embeddings"),
 		mEmbedWork:   reg.Counter("eval.approx.embed_steps"),
@@ -91,11 +99,21 @@ func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Op
 		mSelMisses:   reg.Counter("eval.approx.selmemo.misses"),
 		hFanout:      reg.Histogram("eval.approx.fanout"),
 	}
-	for i, qn := range a.qnodes {
-		a.qidx[qn] = i
+	for qi, qn := range sc.qnodes {
+		for j, e := range qn.Edges {
+			if e.Optional {
+				a.optional[sc.child(qi, j)] = true
+			}
+		}
 	}
 	ps.End()
 	return a
+}
+
+// release gives the scratch back to the pool once the evaluation is over.
+func (a *approxer) release() {
+	a.sc.release()
+	a.sc = nil
 }
 
 // eval runs the batch evaluation, or the streaming top-k one (topk.go) when
@@ -128,14 +146,13 @@ func (a *approxer) batch(ctx context.Context) (res *Result) {
 		// runs record the time they burned before aborting.
 		a.reg.Histogram("eval.approx.latency_seconds").Observe(span.End().Seconds())
 		a.flush(res)
+		a.release()
 	}()
 	// The embedding search plus selectivity memoization is the trace's
 	// "memo" phase; everything that shapes the answer synopsis afterwards
 	// is its "emit" phase.
 	ms := a.tr.StartSpan("eval.memo")
-	a.grow(func(rn *RNode, edge *query.Edge) []termK {
-		return a.edgeTerms(rn.Src, edge)
-	})
+	a.grow(a.edgeTerms)
 	ms.End()
 	es := a.tr.StartSpan("eval.emit")
 	res = a.finish(true)
@@ -171,7 +188,7 @@ func (a *approxer) flush(res *Result) {
 	// Per-query-node fanout: how many synopsis result classes each query
 	// variable bound. The spread of this distribution is what drives
 	// embedding-enumeration cost.
-	for _, ids := range a.bind {
+	for _, ids := range a.sc.bind[:len(a.sc.qnodes)] {
 		a.hFanout.Observe(float64(len(ids)))
 	}
 }
@@ -187,29 +204,27 @@ type approxer struct {
 	// per-expansion work is already pool-bounded.
 	ctxPoll
 
-	sk     *sketch.Sketch
-	q      *query.Query
-	qnodes []*query.Node
-	qidx   map[*query.Node]int
-	opts   Options
+	sk   *sketch.Sketch
+	q    *query.Query
+	sc   *approxScratch // the evaluation's working memory (scratch.go)
+	opts Options
+
+	// optional marks, per variable, whether it is bound through a dashed
+	// edge. It becomes the answer's Result.VarOptional.
+	optional []bool
 
 	// conditioning selects conditionOnRequired, on unless PaperMode; the
 	// test suite also switches it off alone. noPrune and ref are test-only
 	// and zero in production. noPrune keeps the raw result graph (no
 	// pruning, no conditioning), the regime the top-k error bound is
 	// defined in. ref replaces enumFast with the reference enumeration the
-	// differential and fuzz tests compare the fast path against; every
-	// path then materializes its embeddings through it. Tests set them
+	// differential and fuzz tests compare the fast path against; it pushes
+	// the same flat records (see walk) for every path. Tests set them
 	// between newApproxer and eval.
 	conditioning bool
 	noPrune      bool
-	ref          func(from int, p *query.Path, needExist bool) []embedding
+	ref          func(from int, p *query.Path, needExist bool)
 
-	res       *Result
-	resIndex  map[resKey]int // (synopsis node, query var index) -> result node
-	bind      [][]int        // query var index -> result node IDs
-	selMemo   map[selKey]float64
-	canTabs   map[*query.Path][]int8
 	truncated bool
 
 	// Enumeration pool for the finite-budget streaming path: when poolOn,
@@ -234,10 +249,6 @@ type approxer struct {
 	prunes  int64
 	canHits int64
 
-	// Reusable dedup state for enumFast (epoch-reset per enumeration): the
-	// incremental path trie and the set of already-emitted path IDs.
-	trie pathTrie
-
 	// Metric handles, resolved once per query so hot paths pay only an
 	// atomic add.
 	reg         *obs.Registry
@@ -258,51 +269,51 @@ type selKey struct {
 	pred *query.Path
 }
 
-// embedding is one mapping of a path expression into the synopsis: the
-// sequence of synopsis nodes traversed (one per edge, source excluded).
-// The same node path can admit several assignments of location steps to
-// positions (with recursive labels, //parlist//listitem embeds into a
-// nested parlist chain in more than one way); stepAts records all of them.
-// Counting each node path once — rather than once per assignment — matches
-// XPath's set semantics: the elements along a fixed class path are matched
-// if at least one step assignment exists, and elements on distinct class
-// paths are distinct.
-//
-// prod is the product accumulated while walking the path — average
-// descendant counts, or per-hop existence probabilities when the
-// enumeration ran with needExist — multiplied hop by hop in path order.
-type embedding struct {
-	nodes   []int
-	stepAts [][]int
-	prod    float64
-}
-
 // grow starts the answer graph at the synopsis root and extends it in
 // query-variable pre-order — parents first, so bind[q] is complete when q's
 // edges are processed (Figure 7, lines 4-13) — folding in the per-terminal
 // sums terms supplies for every bound result node and outgoing query edge.
 // The batch path enumerates them; the top-k replay reads the recorded ones.
-func (a *approxer) grow(terms func(rn *RNode, edge *query.Edge) []termK) {
-	optional := make([]bool, len(a.qnodes))
-	for _, qn := range a.qnodes {
-		for _, e := range qn.Edges {
-			if e.Optional {
-				optional[a.qidx[e.Child]] = true
-			}
-		}
-	}
-	a.res = &Result{Root: 0, VarOptional: optional}
-	a.bind = make([][]int, len(a.qnodes))
-	a.addResultNode(a.sk.Root, 0, a.sk.Nodes[a.sk.Root].Label)
-	for qi, qn := range a.qnodes {
-		for _, uQ := range a.bind[qi] {
-			rn := a.res.Nodes[uQ]
-			for _, edge := range qn.Edges {
+//
+// A result node's outgoing edges are all added while it is processed, so
+// they form one run of the scratch's edge list. Every (parent, child) pair
+// is added once: terms are per distinct terminal, and each query edge has
+// a child variable of its own, so Figure 7's line-12 sum over synopsis
+// paths is already folded into the term.
+func (a *approxer) grow(terms func(src int, edge *query.Edge) []termK) {
+	sc := a.sc
+	a.addResultNode(a.sk.Root, 0)
+	for qi, qn := range sc.qnodes {
+		for _, uQ := range sc.bind[qi] {
+			src := int(sc.nodes[uQ].src)
+			lo := int32(len(sc.edges))
+			for j, edge := range qn.Edges {
 				a.checkCtx()
-				a.applyEdgeTerms(rn, edge, terms(rn, edge))
+				ci := sc.child(qi, j)
+				for _, tk := range terms(src, edge) {
+					a.tickCtx(1)
+					vQ := a.addResultNode(tk.term, ci)
+					sc.edges = append(sc.edges, REdge{Child: vQ, K: tk.k})
+				}
 			}
+			sc.nodes[uQ].lo, sc.nodes[uQ].hi = lo, int32(len(sc.edges))
 		}
 	}
+}
+
+// addResultNode returns the result node of (synopsis node src, variable
+// qi), creating it on first sight. The root is node 0.
+func (a *approxer) addResultNode(src, qi int) int {
+	sc := a.sc
+	k := resKey{src, qi}
+	if id, ok := sc.resIndex[k]; ok {
+		return int(id)
+	}
+	id := int32(len(sc.nodes))
+	sc.nodes = append(sc.nodes, wnode{src: int32(src), qi: int32(qi)})
+	sc.resIndex[k] = id
+	sc.bind[qi] = append(sc.bind[qi], id)
+	return int(id)
 }
 
 // finish shapes the grown graph into the answer synopsis: the empty answer
@@ -310,10 +321,11 @@ func (a *approxer) grow(terms func(rn *RNode, edge *query.Edge) []termK) {
 // (checked only when searched, i.e. the whole graph was explored), then
 // pruning, conditioning and the extent counts.
 func (a *approxer) finish(searched bool) *Result {
+	sc := a.sc
 	if searched {
-		for _, qn := range a.qnodes {
-			for _, edge := range qn.Edges {
-				if !edge.Optional && len(a.bind[a.qidx[edge.Child]]) == 0 {
+		for qi, qn := range sc.qnodes {
+			for j, edge := range qn.Edges {
+				if !edge.Optional && len(sc.bind[sc.child(qi, j)]) == 0 {
 					return &Result{Empty: true, Truncated: a.truncated}
 				}
 			}
@@ -327,9 +339,37 @@ func (a *approxer) finish(searched bool) *Result {
 			a.conditionOnRequired()
 		}
 	}
-	a.res.Truncated = a.truncated
 	a.computeCounts()
-	return a.res
+	return a.result()
+}
+
+// result materializes the working graph as the answer synopsis, sized
+// once: one array of nodes, one of node pointers, and one of edges.
+func (a *approxer) result() *Result {
+	sc := a.sc
+	ne := 0
+	for _, nd := range sc.nodes {
+		ne += int(nd.hi - nd.lo)
+	}
+	nodes := make([]RNode, len(sc.nodes))
+	ptrs := make([]*RNode, len(sc.nodes))
+	edges := make([]REdge, ne)
+	for i, nd := range sc.nodes {
+		rn := &nodes[i]
+		*rn = RNode{
+			ID:    i,
+			Var:   sc.qnodes[nd.qi].Var,
+			VarID: int(nd.qi),
+			Label: a.sk.Nodes[nd.src].Label,
+			Src:   int(nd.src),
+			Count: nd.count,
+		}
+		if m := copy(edges, sc.edges[nd.lo:nd.hi]); m > 0 {
+			rn.Edges, edges = edges[:m:m], edges[m:]
+		}
+		ptrs[i] = rn
+	}
+	return &Result{Nodes: ptrs, Root: 0, Truncated: a.truncated, VarOptional: a.optional}
 }
 
 // conditionOnRequired refines the result counts for required (solid) child
@@ -349,99 +389,160 @@ func (a *approxer) finish(searched bool) *Result {
 // group's outgoing counts rescale to k/s_g (the conditional average among
 // survivors), which preserves the selectivity estimate and is the
 // identity on count-stable synopses (there s_g is always 0 or 1).
+//
+// A result node's edges all lead to child variables of its own variable,
+// so its required groups are exactly its edges into non-optional
+// variables.
 func (a *approxer) conditionOnRequired() {
-	n := len(a.res.Nodes)
-	f := make([]float64, n)
-	// sOf[node][childVar] = survival fraction of that required group.
-	sOf := make([]map[int]float64, n)
-	required := make([]map[int]bool, len(a.qnodes))
-	for qi, qn := range a.qnodes {
-		required[qi] = make(map[int]bool)
-		for _, e := range qn.Edges {
-			if !e.Optional {
-				required[qi][a.qidx[e.Child]] = true
-			}
-		}
-	}
-	for i, rn := range a.res.Nodes {
+	sc := a.sc
+	f := resize(&sc.factor, len(sc.nodes))
+	// Per child variable of the node at hand: the group's summed k, then
+	// its survival fraction; state 1 marks a group seen, 2 one that
+	// rescales.
+	sum := resize(&sc.varSum, len(sc.qnodes))
+	state := resize(&sc.varState, len(sc.qnodes))
+	for i, nd := range sc.nodes {
 		f[i] = 1
-		if len(required[rn.VarID]) == 0 {
+		if !sc.solid[nd.qi] {
 			continue
 		}
-		sums := make(map[int]float64) // child var -> sum of k
-		for _, e := range rn.Edges {
-			cv := a.res.Nodes[e.Child].VarID
-			if !required[rn.VarID][cv] {
+		qn := sc.qnodes[nd.qi]
+		run := sc.edges[nd.lo:nd.hi]
+		for _, e := range run {
+			if cv := sc.nodes[e.Child].qi; !a.optional[cv] {
+				state[cv] = 1
+				sum[cv] += e.K
+			}
+		}
+		// Drain in ascending child-variable order (the order of qn's
+		// edges): the survival factors multiply into f[i], and the float
+		// product must not depend on edge order.
+		vars := sc.childVar[sc.edgeLo[nd.qi]:][:len(qn.Edges)]
+		for _, cv := range vars {
+			if state[cv] == 0 || sum[cv] >= 1 {
 				continue
 			}
-			sums[cv] += e.K
-		}
-		// Drain in sorted child-var order: the survival factors multiply
-		// into f[i], and float products must not depend on map order.
-		cvs := make([]int, 0, len(sums))
-		for cv := range sums {
-			cvs = append(cvs, cv)
-		}
-		sort.Ints(cvs)
-		for _, cv := range cvs {
-			sum := sums[cv]
-			if sum >= 1 {
-				continue
-			}
-			s := sum
+			s := sum[cv]
 			if s <= 0 {
 				s = 1e-9
 			}
-			if sOf[i] == nil {
-				sOf[i] = make(map[int]float64)
-			}
-			sOf[i][cv] = s
+			sum[cv], state[cv] = s, 2
 			f[i] *= s
 		}
-	}
-	// Apply: outgoing required-group counts become conditional averages;
-	// incoming counts scale by the target's survival factor. The root has
-	// no incoming edge, so it is left unconditioned (its count stays 1).
-	for i, rn := range a.res.Nodes {
-		for ei := range rn.Edges {
-			e := &rn.Edges[ei]
-			if s, ok := sOf[i][a.res.Nodes[e.Child].VarID]; ok && i != a.res.Root {
-				e.K /= s
+		// Outgoing required-group counts become conditional averages. The
+		// root is left unconditioned (its count stays 1).
+		if i != 0 {
+			for ei := range run {
+				if cv := sc.nodes[run[ei].Child].qi; state[cv] == 2 {
+					run[ei].K /= sum[cv]
+				}
 			}
-			if e.Child != a.res.Root {
-				e.K *= f[e.Child]
+		}
+		for _, cv := range vars {
+			sum[cv], state[cv] = 0, 0
+		}
+	}
+	// Incoming counts scale by the target's survival factor; the root has
+	// no incoming edge.
+	for _, nd := range sc.nodes {
+		for ei := nd.lo; ei < nd.hi; ei++ {
+			if c := sc.edges[ei].Child; c != 0 {
+				sc.edges[ei].K *= f[c]
 			}
 		}
 	}
 }
 
-func (a *approxer) addResultNode(src, qi int, label string) int {
-	k := resKey{src, qi}
-	if id, ok := a.resIndex[k]; ok {
-		return id
+// prune drops result nodes for which some required child variable has no
+// surviving bindings, processing variables bottom-up, and renumbers the
+// survivors densely in their creation order. Returns false when the root
+// itself is pruned (empty answer).
+func (a *approxer) prune() bool {
+	sc := a.sc
+	n := len(sc.nodes)
+	keep := resize(&sc.keep, n)
+	for i := range keep {
+		keep[i] = true
 	}
-	id := len(a.res.Nodes)
-	a.res.Nodes = append(a.res.Nodes, &RNode{
-		ID:    id,
-		Var:   a.qnodes[qi].Var,
-		VarID: qi,
-		Label: label,
-		Src:   src,
-	})
-	a.resIndex[k] = id
-	a.bind[qi] = append(a.bind[qi], id)
-	return id
+	// Reverse pre-order: children before parents.
+	for qi := len(sc.qnodes) - 1; qi >= 0; qi-- {
+		if !sc.solid[qi] {
+			continue
+		}
+		qn := sc.qnodes[qi]
+		for _, uQ := range sc.bind[qi] {
+			if !keep[uQ] {
+				continue
+			}
+			if a.pruneExempt != nil && a.pruneExempt[uQ] {
+				continue
+			}
+			run := sc.edges[sc.nodes[uQ].lo:sc.nodes[uQ].hi]
+			for j, e := range qn.Edges {
+				if e.Optional {
+					continue
+				}
+				ci := int32(sc.child(qi, j))
+				found := false
+				for _, re := range run {
+					if sc.nodes[re.Child].qi == ci && keep[re.Child] && re.K > 0 {
+						found = true
+						break
+					}
+				}
+				if !found {
+					keep[uQ] = false
+					break
+				}
+			}
+		}
+	}
+	if !keep[0] {
+		return false
+	}
+	// Drop pruned nodes and edges to them, renumbering densely.
+	remap := resize(&sc.remap, n)
+	kept := 0
+	for i := range n {
+		if !keep[i] {
+			remap[i] = -1
+			continue
+		}
+		remap[i] = int32(kept)
+		sc.nodes[kept] = sc.nodes[i]
+		kept++
+	}
+	if dropped := n - kept; dropped > 0 {
+		a.reg.Counter("eval.approx.prune_dropped").Add(int64(dropped))
+	}
+	sc.nodes = sc.nodes[:kept]
+	for i := range sc.nodes {
+		nd := &sc.nodes[i]
+		w := nd.lo
+		for k := nd.lo; k < nd.hi; k++ {
+			if c := remap[sc.edges[k].Child]; c >= 0 {
+				sc.edges[w] = REdge{Child: int(c), K: sc.edges[k].K}
+				w++
+			}
+		}
+		nd.hi = w
+	}
+	return true
 }
 
-// applyEdgeTerms folds one edge's per-terminal sums into the result graph:
-// every terminal becomes (or joins) a result node of the child variable, and
-// the descendant counts accumulate on the parent's outgoing edges.
-func (a *approxer) applyEdgeTerms(rn *RNode, edge *query.Edge, terms []termK) {
-	ci := a.qidx[edge.Child]
-	for _, tk := range terms {
-		a.tickCtx(1)
-		vQ := a.addResultNode(tk.term, ci, a.sk.Nodes[tk.term].Label)
-		rn.addK(vQ, tk.k)
+// computeCounts derives estimated extent sizes: Count(root) = 1 and
+// Count(v) = sum over incoming edges of Count(u) * k(u, v). grow creates
+// every node of a variable before any node of its child variables, and
+// prune keeps that order, so a pass in node order sees every node's
+// incoming edges before its outgoing ones, and adds each node's incoming
+// terms in its parents' creation order.
+func (a *approxer) computeCounts() {
+	sc := a.sc
+	sc.nodes[0].count = 1
+	for _, nd := range sc.nodes {
+		for _, e := range sc.edges[nd.lo:nd.hi] {
+			sc.nodes[e.Child].count += nd.count * e.K
+		}
 	}
 }
 
@@ -459,50 +560,57 @@ type termK struct {
 // (src, edge) for a fixed synopsis and options — per-call budgets and dedup
 // state reset per enumeration, and the selectivity memo caches values only —
 // which is what lets the top-k path replay recorded edge outputs in batch
-// order and reproduce the batch result bit-identically.
+// order and reproduce the batch result bit-identically. The returned slice
+// is scratch memory, valid until the next accumulation drains.
 func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
-	perTerm := make(map[int]float64)
+	sc := a.sc
 	a.walk(src, edge.Path, false, func(term int, k float64) {
 		if k > 0 {
-			perTerm[term] += k
+			sc.addTerm(term, k)
 		}
 	})
-	if len(perTerm) == 0 {
+	if len(sc.touched) == 0 {
 		return nil
 	}
-	terms := make([]int, 0, len(perTerm))
-	for v := range perTerm {
-		terms = append(terms, v)
-	}
-	sort.Ints(terms)
-	out := make([]termK, 0, len(terms))
-	for _, v := range terms {
-		out = append(out, termK{term: v, k: perTerm[v]})
-	}
-	return out
+	return sc.drainTerms()
 }
 
 // walk enumerates p from synopsis node from and calls visit once per
 // distinct embedding with its terminal node and its EvalEmbed value (the
 // existence estimate when needExist). Predicate-free paths stream from
-// enumFast and never materialize embeddings; paths with step predicates
-// materialize them, because the best step assignment is chosen per node
-// path.
+// enumFast and keep nothing per embedding. A path with step predicates
+// needs the best step assignment of each distinct node path, so enumFast
+// pushes one flat record per node path onto the scratch's record stack;
+// walk then scores the records in emission order — the nested branchSel
+// walks push their own records above these and truncate back — and only
+// then visits them. At most one accumulation (edgeTerms, or a PaperMode
+// branchSel) therefore receives visits at any time, which is what lets
+// them share one dense per-terminal sum.
 func (a *approxer) walk(from int, p *query.Path, needExist bool, visit func(term int, v float64)) {
-	var embs []embedding
-	switch {
-	case a.ref != nil:
-		embs = a.ref(from, p, needExist)
-	case !hasPreds(p.Steps):
-		a.enumFast(from, p, needExist, nil, visit)
+	preds := hasPreds(p.Steps)
+	if a.ref == nil && !preds {
+		a.enumFast(from, p, needExist, visit)
 		return
-	default:
-		a.enumFast(from, p, needExist, &embs, nil)
 	}
-	for _, e := range embs {
-		a.tickCtx(1)
-		visit(e.nodes[len(e.nodes)-1], a.evalEmbed(p.Steps, e))
+	sc := a.sc
+	lo, rowsLo := len(sc.recs), len(sc.rows)
+	if a.ref != nil {
+		a.ref(from, p, needExist)
+	} else {
+		a.enumFast(from, p, needExist, nil)
 	}
+	hi := len(sc.recs)
+	if preds {
+		for i := lo; i < hi; i++ {
+			a.tickCtx(1)
+			sel := a.bestAssignmentSel(p.Steps, i)
+			sc.recs[i].prod *= sel
+		}
+	}
+	for i := lo; i < hi; i++ {
+		visit(int(sc.recs[i].term), sc.recs[i].prod)
+	}
+	sc.recs, sc.rows = sc.recs[:lo], sc.rows[:rowsLo]
 }
 
 // hasPreds reports whether some step carries a branching predicate.
@@ -525,14 +633,15 @@ func hasPreds(steps []query.Step) bool {
 // downstream floating-point accumulation, is identical to the test suite's
 // reference enumeration whenever neither truncates.
 //
-// Exactly one of out/stream is set. With out, embeddings are materialized
-// (nodes, step assignments, product). With stream, each deduplicated
-// emission calls stream(terminal node, product) and nothing is retained —
-// no node-path copies, no per-embedding allocation; duplicate node paths
-// carry no information a predicate-free caller can use (their extra step
-// assignments only matter to bestAssignmentSel), so they are dropped after
-// the budget accounting.
-func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embedding, stream func(term int, prod float64)) {
+// With a stream, each distinct node path calls stream(terminal, product)
+// and nothing is kept: duplicate node paths carry no information a
+// predicate-free caller can use (their extra step assignments only matter
+// to bestAssignmentSel), so they are dropped after the budget accounting.
+// Without one, each distinct node path is pushed as a record, and a
+// duplicate chains its step assignment onto the record of its first
+// emission (see walk).
+func (a *approxer) enumFast(from int, p *query.Path, needExist bool, stream func(term int, prod float64)) {
+	a.checkCtx()
 	steps := p.Steps
 	descSteps := 0
 	for si := range steps {
@@ -544,179 +653,199 @@ func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embe
 			descSteps++
 		}
 	}
-	tab := a.canTab(p)
+	sc := a.sc
+	en := enumerator{
+		a:         a,
+		sc:        sc,
+		steps:     steps,
+		tab:       a.canTab(p),
+		needExist: needExist,
+		dedup:     descSteps >= 2,
+		budget:    a.opts.MaxEmbeddings,
+		work:      64 * a.opts.MaxEmbeddings,
+		nextID:    1,
+		base:      len(sc.recs),
+		stream:    stream,
+	}
 	// One node path can be emitted under several step assignments only
 	// with two or more Descendant steps: the emitted sequence records every
 	// traversed synopsis node, so a walk's length pins each Child step and
 	// a single Descendant step to one position. Such duplicates are
 	// detected with an incremental path trie: every pushed (prefix, node)
 	// pair gets a dense integer ID, so the whole current stack is
-	// identified by one int — no per-emission key strings. The trie maps
-	// live on the approxer and are clear()ed per enumeration to keep their
-	// buckets warm across a query's path expressions.
-	dedup := descSteps >= 2
-	var nextID int32 = 1
-	var pathID int32
-	var idStack []int32
-	if dedup {
-		a.trie.reset()
+	// identified by one int — no per-emission key strings.
+	if en.dedup {
+		sc.trie.reset()
 	}
-	budget := a.opts.MaxEmbeddings
-	work := 64 * a.opts.MaxEmbeddings
 	if a.poolOn {
-		budget, work = a.poolBudget, a.poolWork
+		en.budget, en.work = a.poolBudget, a.poolWork
 	}
-	startWork := work
-	emitted := 0
-	var nodes []int
-	var stepAt []int
+	startWork := en.work
+	sc.idStack, sc.landing = sc.idStack[:0], sc.landing[:0]
+	en.rec(from, 0, 1)
+	if a.poolOn {
+		a.poolBudget, a.poolWork = en.budget, en.work
+	}
+	a.mEmbeddings.Add(int64(en.emitted))
+	a.mEmbedWork.Add(int64(startWork - en.work))
+}
 
-	push := func(node int) {
-		if dedup {
-			key := uint64(uint32(pathID))<<32 | uint64(uint32(node))
-			idStack = append(idStack, pathID)
-			pathID = a.trie.id(key, &nextID)
-		}
-		nodes = append(nodes, node)
+// enumerator is the DFS state of one enumFast call. Its stacks live in the
+// scratch: sc.idStack holds the path IDs below the current node (when
+// deduplicating) and sc.landing the synopsis node each placed step landed
+// on, which is the step assignment a record keeps.
+type enumerator struct {
+	a         *approxer
+	sc        *approxScratch
+	steps     []query.Step
+	tab       canTable
+	needExist bool
+	dedup     bool
+	budget    int
+	work      int
+	emitted   int
+	nextID    int32
+	pathID    int32
+	base      int // the first record of this enumeration
+	stream    func(term int, prod float64)
+}
+
+func (en *enumerator) push(node int) {
+	if en.dedup {
+		key := uint64(uint32(en.pathID))<<32 | uint64(uint32(node))
+		en.sc.idStack = append(en.sc.idStack, en.pathID)
+		en.pathID = en.sc.trie.id(key, &en.nextID)
 	}
-	pop := func() {
-		if dedup {
-			pathID = idStack[len(idStack)-1]
-			idStack = idStack[:len(idStack)-1]
-		}
-		nodes = nodes[:len(nodes)-1]
+}
+
+func (en *enumerator) pop() {
+	if en.dedup {
+		st := en.sc.idStack
+		en.pathID = st[len(st)-1]
+		en.sc.idStack = st[:len(st)-1]
 	}
-	emit := func(prod float64) {
-		if dedup {
-			if prev, dup := a.trie.markEmitted(pathID, emitted); dup {
-				if out != nil {
-					(*out)[prev].stepAts = append((*out)[prev].stepAts, append([]int(nil), stepAt...))
-				}
-				return
+}
+
+func (en *enumerator) emit(term int, prod float64) {
+	sc := en.sc
+	if en.dedup {
+		if prev, dup := sc.trie.markEmitted(en.pathID, en.emitted); dup {
+			if en.stream == nil {
+				sc.addAssignment(en.base+int(prev), sc.landing)
 			}
-		}
-		emitted++
-		if out == nil {
-			stream(nodes[len(nodes)-1], prod)
 			return
 		}
-		*out = append(*out, embedding{
-			nodes:   append([]int(nil), nodes...),
-			stepAts: [][]int{append([]int(nil), stepAt...)},
-			prod:    prod,
-		})
 	}
-	// extend advances the accumulated product across one synopsis edge, in
-	// path order.
-	extend := func(prod float64, e sketch.Edge, parent int) float64 {
-		if needExist {
-			return prod * edgeExistence(e, a.sk.Nodes[parent].Count)
+	en.emitted++
+	if en.stream != nil {
+		en.stream(term, prod)
+		return
+	}
+	sc.pushRec(term, prod, sc.landing)
+}
+
+// extend advances the accumulated product across one synopsis edge, in
+// path order.
+func (en *enumerator) extend(prod float64, e *sketch.Edge, parent int) float64 {
+	if en.needExist {
+		return prod * edgeExistence(*e, en.a.sk.Nodes[parent].Count)
+	}
+	return prod * e.Avg
+}
+
+func (en *enumerator) rec(cur, si int, prod float64) {
+	a := en.a
+	if en.budget <= 0 || en.work <= 0 {
+		a.truncated = true
+		return
+	}
+	if si == len(en.steps) {
+		en.budget--
+		en.emit(cur, prod)
+		return
+	}
+	step := &en.steps[si]
+	if step.Axis != query.Child {
+		en.desc(cur, si, prod)
+		return
+	}
+	edges := a.sk.Nodes[cur].Edges
+	for ei := range edges {
+		e := &edges[ei]
+		if a.sk.Nodes[e.Child].Label != step.Label {
+			continue
 		}
-		return prod * e.Avg
+		if !a.canRec(en.tab, en.steps, e.Child, si+1) {
+			a.prunes++
+			continue
+		}
+		en.work--
+		a.tickCtx(1)
+		en.push(e.Child)
+		en.sc.landing = append(en.sc.landing, int32(e.Child))
+		en.rec(e.Child, si+1, en.extend(prod, e, cur))
+		en.sc.landing = en.sc.landing[:len(en.sc.landing)-1]
+		en.pop()
 	}
-	var desc func(cur, si int, prod float64)
-	var rec func(cur, si int, prod float64)
-	rec = func(cur, si int, prod float64) {
-		if budget <= 0 || work <= 0 {
+}
+
+// desc explores downward paths for a Descendant step: a matching child
+// that can complete the remaining steps is a landing point, and the
+// search continues deeper wherever the memo proves more landings exist.
+func (en *enumerator) desc(cur, si int, prod float64) {
+	a := en.a
+	if en.budget <= 0 {
+		a.truncated = true
+		return
+	}
+	step := &en.steps[si]
+	edges := a.sk.Nodes[cur].Edges
+	for ei := range edges {
+		if en.work <= 0 {
 			a.truncated = true
 			return
 		}
-		if si == len(steps) {
-			budget--
-			emit(prod)
-			return
+		e := &edges[ei]
+		land := a.sk.Nodes[e.Child].Label == step.Label && a.canRec(en.tab, en.steps, e.Child, si+1)
+		deeper := a.canDesc(en.tab, en.steps, e.Child, si)
+		if !land && !deeper {
+			a.prunes++
+			continue
 		}
-		step := &steps[si]
-		if step.Axis == query.Child {
-			for _, e := range a.sk.Nodes[cur].Edges {
-				if a.sk.Nodes[e.Child].Label != step.Label {
-					continue
-				}
-				if !a.canRec(tab, steps, e.Child, si+1) {
-					a.prunes++
-					continue
-				}
-				work--
-				a.tickCtx(1)
-				push(e.Child)
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1, extend(prod, e, cur))
-				pop()
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			return
+		en.work--
+		a.tickCtx(1)
+		next := en.extend(prod, e, cur)
+		en.push(e.Child)
+		if land {
+			en.sc.landing = append(en.sc.landing, int32(e.Child))
+			en.rec(e.Child, si+1, next)
+			en.sc.landing = en.sc.landing[:len(en.sc.landing)-1]
 		}
-		desc(cur, si, prod)
+		if deeper {
+			en.desc(e.Child, si, next)
+		}
+		en.pop()
 	}
-	// desc explores downward paths for a Descendant step: a matching child
-	// that can complete the remaining steps is a landing point, and the
-	// search continues deeper wherever the memo proves more landings exist.
-	desc = func(cur, si int, prod float64) {
-		if budget <= 0 {
-			a.truncated = true
-			return
-		}
-		step := &steps[si]
-		for _, e := range a.sk.Nodes[cur].Edges {
-			if work <= 0 {
-				a.truncated = true
-				return
-			}
-			land := a.sk.Nodes[e.Child].Label == step.Label && a.canRec(tab, steps, e.Child, si+1)
-			deeper := a.canDesc(tab, steps, e.Child, si)
-			if !land && !deeper {
-				a.prunes++
-				continue
-			}
-			work--
-			a.tickCtx(1)
-			next := extend(prod, e, cur)
-			push(e.Child)
-			if land {
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1, next)
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			if deeper {
-				desc(e.Child, si, next)
-			}
-			pop()
-		}
-	}
-	rec(from, 0, 1)
-	if a.poolOn {
-		a.poolBudget, a.poolWork = budget, work
-	}
-	a.mEmbeddings.Add(int64(emitted))
-	a.mEmbedWork.Add(int64(startWork - work))
 }
 
-// evalEmbed implements EvalEmbed (Figure 8): the descendant count along the
-// embedding's main path is the product of the traversed average edge
-// counts, accumulated during enumeration, scaled by the selectivity of each
-// step's branching predicates. With several step assignments on the same
-// node path, the best (highest selectivity) assignment is used — an element
-// matches if any assignment's predicates hold. For an embedding enumerated
-// with needExist the product is the per-hop existence probability instead,
-// and the value estimates the probability that an element of the source
-// has at least one descendant along this embedding.
-func (a *approxer) evalEmbed(steps []query.Step, e embedding) float64 {
-	return e.prod * a.bestAssignmentSel(steps, e)
-}
-
-// bestAssignmentSel returns the maximum product of branch-predicate
-// selectivities over the embedding's step assignments. 1 when no step has
-// predicates.
-func (a *approxer) bestAssignmentSel(steps []query.Step, e embedding) float64 {
-	if !hasPreds(steps) {
-		return 1
-	}
+// bestAssignmentSel implements the predicate half of EvalEmbed (Figure 8):
+// the embedding's value is its hop product, accumulated during
+// enumeration, scaled by the selectivity of each step's branching
+// predicates. With several step assignments on the same node path (record
+// ri's chain of rows), the best (highest selectivity) assignment is used —
+// an element matches if any assignment's predicates hold. Assignments are
+// scored in emission order, and a product that reaches 0 skips the rest of
+// its assignment, so branchSel runs on exactly the (node, predicate) pairs,
+// in exactly the order, of a per-embedding evaluation. The rows are re-read
+// after every branchSel: its nested walk may grow them.
+func (a *approxer) bestAssignmentSel(steps []query.Step, ri int) float64 {
+	sc := a.sc
 	best := 0.0
-	for _, stepAt := range e.stepAts {
+	for r := int(sc.recs[ri].head); r >= 0; r = int(sc.rows[r]) {
 		a.checkCtx()
 		sel := 1.0
 		for si := range steps {
-			at := e.nodes[stepAt[si]]
+			at := int(sc.rows[r+1+si])
 			for _, pred := range steps[si].Preds {
 				sel *= a.branchSel(at, pred)
 				if sel == 0 {
@@ -756,8 +885,9 @@ func (a *approxer) bestAssignmentSel(steps []query.Step, e embedding) float64 {
 // independent. Both rules coincide (and are exact) on count-stable
 // synopses.
 func (a *approxer) branchSel(from int, pred *query.Path) float64 {
+	sc := a.sc
 	k := selKey{from, pred}
-	if s, ok := a.selMemo[k]; ok {
+	if s, ok := sc.selMemo[k]; ok {
 		a.mSelHits.Inc()
 		return s
 	}
@@ -765,45 +895,31 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 	a.checkCtx()
 	var s float64
 	if !a.opts.PaperMode {
-		var sum float64
-		a.walk(from, pred, true, func(_ int, p float64) {
-			sum += p
-		})
-		if sum > 1 {
-			sum = 1
-		}
-		s = sum
+		a.walk(from, pred, true, sc.addExistence)
+		s = min(sc.existSum, 1)
+		sc.existSum = 0
 	} else {
-		perTerm := make(map[int]float64)
-		a.walk(from, pred, false, func(term int, k float64) {
-			perTerm[term] += k
-		})
-		if len(perTerm) > 0 {
-			// Sorted drain: the complement product is a float accumulation
-			// and must not follow map iteration order.
-			terms := make([]int, 0, len(perTerm))
-			for term := range perTerm {
-				terms = append(terms, term)
+		a.walk(from, pred, false, sc.addTerm)
+		// Sorted drain: the complement product is a float accumulation
+		// and must not follow emission order.
+		prod := 1.0
+		certain := false
+		terms := sc.drainTerms()
+		for _, tk := range terms {
+			if tk.k >= 1 {
+				certain = true
+				break
 			}
-			sort.Ints(terms)
-			prod := 1.0
-			certain := false
-			for _, term := range terms {
-				kl := perTerm[term]
-				if kl >= 1 {
-					certain = true
-					break
-				}
-				prod *= 1 - kl
-			}
-			if certain {
-				s = 1
-			} else {
-				s = 1 - prod
-			}
+			prod *= 1 - tk.k
+		}
+		switch {
+		case certain:
+			s = 1
+		case len(terms) > 0:
+			s = 1 - prod
 		}
 	}
-	a.selMemo[k] = s
+	sc.selMemo[k] = s
 	return s
 }
 
@@ -826,117 +942,4 @@ func edgeExistence(e sketch.Edge, count int) float64 {
 		p = 0
 	}
 	return p
-}
-
-// prune drops result nodes for which some required child variable has no
-// surviving bindings, processing variables bottom-up. Returns false when
-// the root itself is pruned (empty answer).
-func (a *approxer) prune() bool {
-	keep := make([]bool, len(a.res.Nodes))
-	for i := range keep {
-		keep[i] = true
-	}
-	// Reverse pre-order: children before parents.
-	for qi := len(a.qnodes) - 1; qi >= 0; qi-- {
-		qn := a.qnodes[qi]
-		required := make([]int, 0, len(qn.Edges))
-		for _, e := range qn.Edges {
-			if !e.Optional {
-				required = append(required, a.qidx[e.Child])
-			}
-		}
-		if len(required) == 0 {
-			continue
-		}
-		for _, uQ := range a.bind[qi] {
-			if !keep[uQ] {
-				continue
-			}
-			if a.pruneExempt != nil && a.pruneExempt[uQ] {
-				continue
-			}
-			rn := a.res.Nodes[uQ]
-			for _, ci := range required {
-				found := false
-				for _, re := range rn.Edges {
-					if a.res.Nodes[re.Child].VarID == ci && keep[re.Child] && re.K > 0 {
-						found = true
-						break
-					}
-				}
-				if !found {
-					keep[uQ] = false
-					break
-				}
-			}
-		}
-	}
-	if !keep[a.res.Root] {
-		return false
-	}
-	dropped := 0
-	for i := range keep {
-		if !keep[i] {
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		a.reg.Counter("eval.approx.prune_dropped").Add(int64(dropped))
-	}
-	// Drop pruned nodes and edges to them, renumbering densely.
-	remap := make([]int, len(a.res.Nodes))
-	out := &Result{Truncated: a.res.Truncated, VarOptional: a.res.VarOptional}
-	for i, rn := range a.res.Nodes {
-		if keep[i] {
-			remap[i] = len(out.Nodes)
-			out.Nodes = append(out.Nodes, rn)
-		} else {
-			remap[i] = -1
-		}
-	}
-	for _, rn := range out.Nodes {
-		rn.ID = remap[rn.ID]
-		kept := rn.Edges[:0]
-		for _, e := range rn.Edges {
-			if remap[e.Child] >= 0 {
-				e.Child = remap[e.Child]
-				kept = append(kept, e)
-			}
-		}
-		rn.Edges = kept
-	}
-	out.Root = remap[a.res.Root]
-	a.res = out
-	return true
-}
-
-// computeCounts derives estimated extent sizes: Count(root) = 1 and
-// Count(v) = sum over incoming edges of Count(u) * k(u,v). The result graph
-// is a DAG ordered by query-variable depth, so a pass in variable pre-order
-// suffices.
-func (a *approxer) computeCounts() {
-	order := make([]*RNode, len(a.res.Nodes))
-	copy(order, a.res.Nodes)
-	// Variable index increases from parent to child in the query tree;
-	// result edges always go from lower to higher VarID.
-	sortByVar(order)
-	for _, rn := range order {
-		if rn.ID == a.res.Root {
-			rn.Count = 1
-		}
-	}
-	for _, rn := range order {
-		for _, e := range rn.Edges {
-			a.res.Nodes[e.Child].Count += rn.Count * e.K
-		}
-	}
-}
-
-func sortByVar(nodes []*RNode) {
-	// Insertion sort by VarID: result sets are small and almost ordered.
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j-1].VarID > nodes[j].VarID; j-- {
-			nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
-		}
-	}
 }

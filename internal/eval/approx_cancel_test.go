@@ -52,19 +52,7 @@ func TestApproxContextCanceled(t *testing.T) {
 // the never-expiring polled run fingerprints identically to the background
 // run.
 func TestApproxContextCanceledMidEnumeration(t *testing.T) {
-	// Distinct section labels keep the label-path clusters from merging, so
-	// the synopsis itself is wide and the descendant-axis enumerations scan
-	// thousands of synopsis edges.
-	var sb strings.Builder
-	sb.WriteString("r(")
-	for i := 0; i < 1500; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString("s" + strconv.Itoa(i) + "(a(b(c),b(d)))")
-	}
-	sb.WriteString(")")
-	sk := sketch.FromStable(stable.Build(xmltree.MustCompact(sb.String())))
+	sk := wideSketch("")
 	q := query.MustParse("//a[//c]{//b?,//d?}")
 
 	polls := 0
@@ -85,6 +73,66 @@ func TestApproxContextCanceledMidEnumeration(t *testing.T) {
 	res = ApproxContext(countdownCtx{Context: context.Background(), polls: &polls, limit: mid}, sk, q, Options{})
 	if !res.Canceled {
 		t.Fatalf("context expiring at poll %d did not cancel the evaluation", mid)
+	}
+}
+
+// wideSketch returns a synopsis whose descendant-axis enumerations scan
+// thousands of synopsis edges: distinct section labels keep the label-path
+// clusters from merging. The sections sit below the root r, or below
+// r/x when under is "x".
+func wideSketch(under string) *sketch.Sketch {
+	var sb strings.Builder
+	sb.WriteString("r(")
+	if under != "" {
+		sb.WriteString(under + "(")
+	}
+	for i := 0; i < 1500; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString("s" + strconv.Itoa(i) + "(a(b(c),b(d)))")
+	}
+	if under != "" {
+		sb.WriteString(")")
+	}
+	sb.WriteString(")")
+	return sketch.FromStable(stable.Build(xmltree.MustCompact(sb.String())))
+}
+
+// TestApproxCanceledEvaluationLeavesNoState pins that an evaluation
+// canceled mid-enumeration hands a clean scratch to the next one. The
+// cancellation can stop a walk with terminal sums or an existence sum
+// open; were they pooled, the next evaluation would fold them into its
+// first accumulation, or index past a smaller synopsis with a stale
+// terminal. The predicate at x enumerates every section, so cancellations
+// also land inside a branchSel walk. The follow-up evaluations run on the
+// canceling goroutine, so they draw the scratch the canceled run gave back.
+func TestApproxCanceledEvaluationLeavesNoState(t *testing.T) {
+	wide, small := wideSketch("x"), fuzzSketch()
+	next := []*query.Query{query.MustParse("//a{//b?,//c?}"), query.MustParse("//e[//c]{//d?}")}
+	want := make([]uint64, len(next))
+	for i, q := range next {
+		want[i] = Approx(small, q, Options{}).Fingerprint()
+	}
+	for _, opts := range []Options{{}, {PaperMode: true}} {
+		for _, src := range []string{"//a{//b?,//d?}", "/x[//c]{//a?}"} {
+			q := query.MustParse(src)
+			polls := 0
+			ApproxContext(countdownCtx{Context: context.Background(), polls: &polls}, wide, q, opts)
+			for at := 1; at < polls; at += max(1, polls/16) {
+				n := 0
+				res := ApproxContext(countdownCtx{Context: context.Background(), polls: &n, limit: at}, wide, q, opts)
+				if !res.Canceled {
+					t.Fatalf("%s canceled at poll %d of %d: not canceled", src, at, polls)
+				}
+				for i, nq := range next {
+					if got := Approx(small, nq, Options{}).Fingerprint(); got != want[i] {
+						t.Fatalf("%s canceled at poll %d (PaperMode %v): next evaluation of %s fingerprints %x, want %x",
+							src, at, opts.PaperMode, nq, got, want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

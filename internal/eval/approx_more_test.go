@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"treesketch/internal/datagen"
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
 	"treesketch/internal/sketch"
@@ -94,18 +95,26 @@ func TestApproxResultNodeIDsDeterministic(t *testing.T) {
 }
 
 func TestBestAssignmentSelNoPreds(t *testing.T) {
-	a := &approxer{}
-	e := embedding{nodes: []int{1, 2}, stepAts: [][]int{{0, 1}}}
+	a := &approxer{sc: &approxScratch{}}
+	a.sc.pushRec(2, 1, []int32{1, 2})
 	steps := query.MustParse("//a/b").Root.Edges[0].Path.Steps
-	if got := a.bestAssignmentSel(steps, e); got != 1 {
+	if got := a.bestAssignmentSel(steps, 0); got != 1 {
 		t.Fatalf("sel = %g, want 1 for predicate-free steps", got)
 	}
 }
 
 // retainedPerOp runs op n times and reports the live heap it left behind,
-// in bytes per call, measured after a full collection on both sides.
+// in bytes per call, measured after a full collection on both sides. The
+// evaluator's scratch pool is resident by design, so it must hold the same
+// number of scratches on both sides: a collection moves pooled scratches
+// to the pool's victim cache and frees the previous victims, so two
+// untimed calls, each followed by a collection, leave exactly the one the
+// second call used, as the measured calls do.
 func retainedPerOp(n int, op func()) float64 {
 	var before, after runtime.MemStats
+	op()
+	runtime.GC()
+	op()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
@@ -113,7 +122,16 @@ func retainedPerOp(n int, op func()) float64 {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(op) // and whatever fixtures it holds
 	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+}
+
+// heavyStream returns a merged XMark synopsis and a stream of heavy twigs
+// generated against its document: wide, deep, predicate-rich.
+func heavyStream() (*sketch.Sketch, []*query.Query) {
+	st := stable.Build(datagen.Generate(datagen.XMark, 10000, 1))
+	sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: 3 << 10})
+	return sk, query.Generate(st, 600, query.GenOptions{Seed: 3, MaxFanout: 3, MaxQueryDepth: 3, MaxSteps: 3, PredProb: 0.5})
 }
 
 // TestApproxRetainsNothingPerEvaluation pins that no evaluation state
@@ -127,6 +145,22 @@ func TestApproxRetainsNothingPerEvaluation(t *testing.T) {
 	opts := Options{Metrics: obs.NewRegistry()}
 	sk := fuzzSketch()
 	Approx(sk, query.MustParse(src), opts) // registers every metric up front
+
+	// A stream of varied, heavy twigs: were pooled scratch buffers kept at
+	// whatever size the heaviest query so far needed, the pool would grow
+	// along the stream. What a capped pool keeps is a constant, so enough
+	// passes put it far below the budget, while an uncapped pool's growth
+	// (some 640 KB on this stream) stays far above.
+	heavy, stream := heavyStream()
+	next := 0
+	perHeavy := retainedPerOp(8*len(stream), func() {
+		Approx(heavy, stream[next%len(stream)], opts)
+		next++
+	})
+	if perHeavy > budget {
+		t.Errorf("%.0f B retained per evaluation of a heavy query stream, want <= %d", perHeavy, budget)
+	}
+	t.Logf("retained: %.1f B per heavy-stream evaluation", perHeavy)
 
 	perQuery := retainedPerOp(20000, func() {
 		Approx(sk, query.MustParse(src), opts)

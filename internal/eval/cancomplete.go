@@ -11,32 +11,60 @@ import "treesketch/internal/query"
 // answers existence exactly (not a label-reachability approximation), every
 // surviving branch leads to an emission, which is what bounds the
 // enumeration tail by output size rather than synopsis size.
-func (a *approxer) canTab(p *query.Path) []int8 {
-	if t, ok := a.canTabs[p]; ok {
+//
+// Tables are carved from the scratch's arena. When it runs out, the next
+// arena is sized to hold every table of the query so far, so a pooled
+// arena settles at the size the stream's queries need.
+func (a *approxer) canTab(p *query.Path) canTable {
+	sc := a.sc
+	if t, ok := sc.canTabs[p]; ok {
 		return t
 	}
-	t := make([]int8, 2*len(p.Steps)*len(a.sk.Nodes))
-	if a.canTabs == nil {
-		a.canTabs = make(map[*query.Path][]int8)
+	need := (2*len(p.Steps)*len(a.sk.Nodes) + 3) / 4
+	end := sc.canUsed + need
+	if end > len(sc.canArena) {
+		sc.canArena = make([]uint8, max(end, 2*len(sc.canArena)))
+		sc.canUsed, end = 0, need
 	}
-	a.canTabs[p] = t
+	t := canTable(sc.canArena[sc.canUsed:end:end])
+	sc.canUsed = end
+	clear(t)
+	sc.canTabs[p] = t
 	return t
 }
 
+// canTable is a can-complete memo, packed two bits per slot: canUnknown,
+// canNo (also the in-progress marker, which keeps malformed cyclic inputs
+// from recursing forever) or canYes. Settling a slot only ever sets bits.
+type canTable []uint8
+
+const (
+	canUnknown = 0
+	canNo      = 2
+	canYes     = 3
+)
+
+func (t canTable) get(slot int) uint8 {
+	return t[slot>>2] >> (slot & 3 * 2) & 3
+}
+
+func (t canTable) set(slot int, v uint8) {
+	t[slot>>2] |= v << (slot & 3 * 2)
+}
+
 // canRec reports whether enumerating steps[si:] from node yields at least
-// one embedding. Memo values: 0 unknown, 1 yes, 2 no (also the in-progress
-// marker, which keeps malformed cyclic inputs from recursing forever).
-func (a *approxer) canRec(tab []int8, steps []query.Step, node, si int) bool {
+// one embedding.
+func (a *approxer) canRec(tab canTable, steps []query.Step, node, si int) bool {
 	if si == len(steps) {
 		return true
 	}
 	n := len(a.sk.Nodes)
 	slot := si*n + node
-	if v := tab[slot]; v != 0 {
+	if v := tab.get(slot); v != canUnknown {
 		a.canHits++
-		return v == 1
+		return v == canYes
 	}
-	tab[slot] = 2
+	tab.set(slot, canNo)
 	a.tickCtx(1)
 	step := &steps[si]
 	res := false
@@ -54,21 +82,21 @@ func (a *approxer) canRec(tab []int8, steps []query.Step, node, si int) bool {
 		}
 	}
 	if res {
-		tab[slot] = 1
+		tab.set(slot, canYes)
 	}
 	return res
 }
 
 // canDesc reports whether the descendant-axis search for steps[si:] rooted
 // strictly below node can land on a matching element and complete.
-func (a *approxer) canDesc(tab []int8, steps []query.Step, node, si int) bool {
+func (a *approxer) canDesc(tab canTable, steps []query.Step, node, si int) bool {
 	n := len(a.sk.Nodes)
 	slot := (len(steps)+si)*n + node
-	if v := tab[slot]; v != 0 {
+	if v := tab.get(slot); v != canUnknown {
 		a.canHits++
-		return v == 1
+		return v == canYes
 	}
-	tab[slot] = 2
+	tab.set(slot, canNo)
 	a.tickCtx(1)
 	step := &steps[si]
 	res := false
@@ -89,7 +117,7 @@ func (a *approxer) canDesc(tab []int8, steps []query.Step, node, si int) bool {
 		}
 	}
 	if res {
-		tab[slot] = 1
+		tab.set(slot, canYes)
 	}
 	return res
 }

@@ -40,6 +40,18 @@ func approxUnpruned(sk *sketch.Sketch, q *query.Query, opts Options) *Result {
 	return approxVariant(sk, q, opts, func(a *approxer) { a.noPrune = true })
 }
 
+// embedding is one mapping of a path expression into the synopsis, as the
+// reference enumeration materializes it: the sequence of synopsis nodes
+// traversed (one per edge, source excluded) and every assignment of
+// location steps to positions in it. The same node path can admit several
+// assignments (with recursive labels, //parlist//listitem embeds into a
+// nested parlist chain in more than one way); counting the node path once
+// matches XPath's set semantics.
+type embedding struct {
+	nodes   []int
+	stepAts [][]int
+}
+
 // refEnum is the reference approximate enumeration of one evaluation.
 type refEnum struct {
 	a     *approxer
@@ -47,15 +59,26 @@ type refEnum struct {
 }
 
 // embeddings enumerates the mappings of p's steps into the synopsis
-// starting at node from and re-walks each embedding's node path for its
-// product: average child counts, or per-hop existence probabilities when
-// needExist.
-func (r *refEnum) embeddings(from int, p *query.Path, needExist bool) []embedding {
-	out := r.enumerate(from, p.Steps)
-	for i := range out {
-		out[i].prod = r.product(from, out[i].nodes, needExist)
+// starting at node from, re-walks each embedding's node path for its
+// product — average child counts, or per-hop existence probabilities when
+// needExist — and pushes the embeddings onto the evaluation's record stack
+// in the fast path's flat form (see walk).
+func (r *refEnum) embeddings(from int, p *query.Path, needExist bool) {
+	sc := r.a.sc
+	for _, e := range r.enumerate(from, p.Steps) {
+		prod := r.product(from, e.nodes, needExist)
+		for i, stepAt := range e.stepAts {
+			landing := make([]int32, len(stepAt))
+			for si, at := range stepAt {
+				landing[si] = int32(e.nodes[at])
+			}
+			if i == 0 {
+				sc.pushRec(e.nodes[len(e.nodes)-1], prod, landing)
+			} else {
+				sc.addAssignment(len(sc.recs)-1, landing)
+			}
+		}
 	}
-	return out
 }
 
 // product multiplies the per-edge factor along one embedding's node path.

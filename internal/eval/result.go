@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"treesketch/internal/esd"
@@ -29,18 +30,6 @@ type RNode struct {
 type REdge struct {
 	Child int
 	K     float64
-}
-
-// addK accumulates descendant count toward a child result node (Figure 7
-// line 12: counts along multiple synopsis paths to the same node add up).
-func (n *RNode) addK(child int, k float64) {
-	for i := range n.Edges {
-		if n.Edges[i].Child == child {
-			n.Edges[i].K += k
-			return
-		}
-	}
-	n.Edges = append(n.Edges, REdge{Child: child, K: k})
 }
 
 // Result is the output of approximate query evaluation: a TreeSketch-style
@@ -131,10 +120,18 @@ func (r *Result) Selectivity() float64 {
 	// required variables the pruning pass already removed nodes missing
 	// them); an optional variable's factor is clamped to at least 1, since
 	// elements without matches still contribute a NULL binding.
-	memo := make([]float64, len(r.Nodes))
+	nv := 0
+	for _, rn := range r.Nodes {
+		nv = max(nv, rn.VarID+1)
+	}
+	memo := make([]float64, len(r.Nodes)+nv)
+	perVar := memo[len(r.Nodes):] // the node at hand's per-variable sums
+	memo = memo[:len(r.Nodes)]
 	for i := range memo {
 		memo[i] = -1
 	}
+	seen := make([]bool, nv)
+	var vars []int
 	var tuples func(id int) float64
 	tuples = func(id int) float64 {
 		if memo[id] >= 0 {
@@ -142,20 +139,27 @@ func (r *Result) Selectivity() float64 {
 		}
 		memo[id] = 0 // cycle guard; result graphs are DAGs
 		rn := r.Nodes[id]
-		perVar := make(map[int]float64)
 		for _, e := range rn.Edges {
-			perVar[r.Nodes[e.Child].VarID] += e.K * tuples(e.Child)
+			tuples(e.Child)
 		}
-		// Sorted drain: the per-variable factors multiply into a float and
-		// must not follow map iteration order.
-		vars := make([]int, 0, len(perVar))
-		for v := range perVar {
-			vars = append(vars, v)
+		// The children are settled, so no recursion runs below: perVar,
+		// seen and vars belong to this node until it returns.
+		vars = vars[:0]
+		for _, e := range rn.Edges {
+			v := r.Nodes[e.Child].VarID
+			if !seen[v] {
+				seen[v] = true
+				vars = append(vars, v)
+			}
+			perVar[v] += e.K * memo[e.Child]
 		}
-		sort.Ints(vars)
+		// The per-variable factors multiply into a float in ascending
+		// variable order.
+		slices.Sort(vars)
 		total := 1.0
 		for _, v := range vars {
 			s := perVar[v]
+			perVar[v], seen[v] = 0, false
 			if v < len(r.VarOptional) && r.VarOptional[v] && s < 1 {
 				s = 1
 			}

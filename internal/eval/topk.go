@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"treesketch/internal/query"
@@ -65,6 +66,7 @@ func (a *approxer) topK(ctx context.Context) *Result {
 	res := a.runTopK(ctx)
 	a.reg.Histogram("eval.topk.latency_seconds").Observe(span.End().Seconds())
 	a.flush(res)
+	a.release()
 	info := res.TopK
 	a.reg.Counter("eval.topk.expanded").Add(int64(info.Expanded))
 	a.reg.Counter("eval.topk.discovered").Add(int64(info.Discovered))
@@ -99,7 +101,7 @@ func (a *approxer) runTopK(ctx context.Context) *Result {
 	if a.opts.Limit > 0 {
 		info.K = a.opts.Limit
 	}
-	mm := massFor(a.sk, a.q, a.qnodes, a.qidx)
+	mm := massFor(a.sk, a.q, a.sc.qnodes, a.sc.child)
 	es := a.tr.StartSpan("eval.topk.expand")
 	exp := a.expandBestFirst(ctx, mm, info)
 	es.End()
@@ -209,7 +211,7 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 		u.expanded = true
 		info.Expanded++
 		capped := false
-		for _, edge := range a.qnodes[u.qi].Edges {
+		for j, edge := range a.sc.qnodes[u.qi].Edges {
 			// Snapshot the sticky truncation flag around the enumeration so
 			// a pool-capped call is attributable to this (node, edge) pair.
 			// A node is never left half-expanded: once the pool runs dry its
@@ -217,14 +219,15 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 			// the empty pool) so every edge is either complete or recorded.
 			was := a.truncated
 			a.truncated = false
-			terms := a.edgeTerms(u.src, edge)
+			// The recorded copy outlives the scratch's term buffer.
+			terms := slices.Clone(a.edgeTerms(u.src, edge))
 			if a.truncated && a.poolOn {
 				exp.trunc = append(exp.trunc, tkTrunc{src: u.src, qi: u.qi, edge: edge})
 				capped = true
 			}
 			a.truncated = a.truncated || was
 			exp.edges[tkEdgeKey{u.src, edge}] = terms
-			ci := a.qidx[edge.Child]
+			ci := a.sc.child(u.qi, j)
 			for _, tk := range terms {
 				key := resKey{tk.term, ci}
 				c := exp.nodes[key]
@@ -254,7 +257,7 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 }
 
 // replayTopK rebuilds the result from the recorded expansion through the
-// batch path's grow, so every addResultNode and addK call happens in
+// batch path's grow, so every result node and edge is added in
 // exactly the sequence the batch path would have produced for the expanded
 // subset. Only expanded nodes have recorded edges, so frontier (unexpanded)
 // nodes keep their incoming edges but emit none; they are exempt from
@@ -262,8 +265,8 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 // raw counts price the error bound.
 func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *Result {
 	dm := mm.dm
-	a.grow(func(rn *RNode, edge *query.Edge) []termK {
-		return exp.edges[tkEdgeKey{rn.Src, edge}]
+	a.grow(func(src int, edge *query.Edge) []termK {
+		return exp.edges[tkEdgeKey{src, edge}]
 	})
 
 	// Mass accounting on the raw graph, before pruning and conditioning
@@ -275,14 +278,15 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 	// ignores predicate selectivities and enumeration caps, both of which
 	// only shrink the real counts).
 	raw := a.rawCounts()
-	a.pruneExempt = make([]bool, len(a.res.Nodes))
-	for i, rn := range a.res.Nodes {
-		if n := exp.nodes[resKey{rn.Src, rn.VarID}]; n != nil && n.expanded {
+	nodes := a.sc.nodes
+	a.pruneExempt = make([]bool, len(nodes))
+	for i, nd := range nodes {
+		if n := exp.nodes[resKey{int(nd.src), int(nd.qi)}]; n != nil && n.expanded {
 			info.EmittedMass += raw[i]
 			continue
 		}
 		a.pruneExempt[i] = true
-		info.ErrorBound += raw[i] * dm[rn.VarID][rn.Src]
+		info.ErrorBound += raw[i] * dm[nd.qi][nd.src]
 	}
 	// Pool-truncated enumerations: the frontier term above does not cover
 	// them — their parent IS expanded, so the mass missing below the cut
@@ -295,7 +299,7 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 	// not-fully-searched rationale as the frontier), or a capped stream
 	// could answer EMPTY while reporting a positive remainder.
 	for _, t := range exp.trunc {
-		id, ok := a.resIndex[resKey{t.src, t.qi}]
+		id, ok := a.sc.resIndex[resKey{t.src, t.qi}]
 		if !ok {
 			info.ErrorBound = math.Inf(1)
 			break
@@ -312,17 +316,15 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 
 // rawCounts computes the unconditioned, unpruned extent counts of the
 // current result graph: Count(root) = 1, Count(v) = sum over incoming edges
-// of Count(u) * k(u, v), accumulated in the same variable pre-order
-// computeCounts uses.
+// of Count(u) * k(u, v), accumulated in the same node order computeCounts
+// uses.
 func (a *approxer) rawCounts() []float64 {
-	order := make([]*RNode, len(a.res.Nodes))
-	copy(order, a.res.Nodes)
-	sortByVar(order)
-	raw := make([]float64, len(a.res.Nodes))
-	raw[a.res.Root] = 1
-	for _, rn := range order {
-		for _, e := range rn.Edges {
-			raw[e.Child] += raw[rn.ID] * e.K
+	sc := a.sc
+	raw := make([]float64, len(sc.nodes))
+	raw[0] = 1
+	for id, nd := range sc.nodes {
+		for _, e := range sc.edges[nd.lo:nd.hi] {
+			raw[e.Child] += raw[id] * e.K
 		}
 	}
 	return raw
@@ -419,7 +421,7 @@ func (m *queryMass) pvAt(e *query.Edge, u int) float64 {
 // massFor returns the memoized mass DP for (sk, q), computing it outside
 // the cache lock on a miss. A racing duplicate computation keeps the copy
 // stored first; computeMass is deterministic, so the copies are identical.
-func massFor(sk *sketch.Sketch, q *query.Query, qnodes []*query.Node, qidx map[*query.Node]int) *queryMass {
+func massFor(sk *sketch.Sketch, q *query.Query, qnodes []*query.Node, child func(qi, j int) int) *queryMass {
 	key := massKey{sk: sk, qs: q.String()}
 	c := &massCache
 	c.Lock()
@@ -430,7 +432,7 @@ func massFor(sk *sketch.Sketch, q *query.Query, qnodes []*query.Node, qidx map[*
 		return mm
 	}
 	c.Unlock()
-	mm := computeMass(sk, qnodes, qidx)
+	mm := computeMass(sk, qnodes, child)
 	c.Lock()
 	if el, ok := c.m[key]; ok {
 		c.lru.MoveToFront(el)
@@ -460,7 +462,7 @@ func massFor(sk *sketch.Sketch, q *query.Query, qnodes []*query.Node, qidx map[*
 // (always <= 1) are ignored, and no enumeration cap applies — so the DP
 // dominates every count the evaluator can produce, which is exactly what an
 // upper bound needs.
-func computeMass(sk *sketch.Sketch, qnodes []*query.Node, qidx map[*query.Node]int) *queryMass {
+func computeMass(sk *sketch.Sketch, qnodes []*query.Node, child func(qi, j int) int) *queryMass {
 	n := len(sk.Nodes)
 	mm := &queryMass{
 		dm: make([][]float64, len(qnodes)),
@@ -475,11 +477,11 @@ func computeMass(sk *sketch.Sketch, qnodes []*query.Node, qidx map[*query.Node]i
 	for qi := len(qnodes) - 1; qi >= 0; qi-- {
 		row := make([]float64, n)
 		//lint:ctxpoll per-edge pathMass sweeps are bounded by |steps| passes over the capped synopsis
-		for _, edge := range qnodes[qi].Edges {
-			child := qidx[edge.Child]
+		for j, edge := range qnodes[qi].Edges {
+			cv := child(qi, j)
 			tv := make([]float64, n)
 			for u := 0; u < n; u++ {
-				tv[u] = 1 + mm.dm[child][u]
+				tv[u] = 1 + mm.dm[cv][u]
 			}
 			pv := pathMass(sk, edge.Path.MainSteps(), tv)
 			mm.pv[edge] = pv

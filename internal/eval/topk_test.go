@@ -319,13 +319,13 @@ func TestMassCacheTextKeyedAndBounded(t *testing.T) {
 	resetMassCache()
 	defer resetMassCache()
 	sk := fuzzSketch()
-	vars := func(q *query.Query) ([]*query.Node, map[*query.Node]int) {
+	vars := func(q *query.Query) ([]*query.Node, func(qi, j int) int) {
 		qnodes := q.Vars()
 		qidx := make(map[*query.Node]int, len(qnodes))
 		for i, qn := range qnodes {
 			qidx[qn] = i
 		}
-		return qnodes, qidx
+		return qnodes, func(qi, j int) int { return qidx[qnodes[qi].Edges[j].Child] }
 	}
 
 	// Two separately parsed queries with the same text — the serving

@@ -6,11 +6,11 @@ import "math"
 // an open-addressed hash table mapping (prefix path ID, synopsis node)
 // keys to dense path IDs, so the DFS identifies its entire current node
 // stack by a single integer. Slots are epoch-stamped — reset is an epoch
-// bump, not a wipe — and the table is reused across all of a query's
-// enumerations, so steady-state operation allocates nothing. A flat
-// Go map would serve the same purpose at roughly 3-4x the per-op cost,
-// which is material because the heavy-twig tail is spent almost entirely
-// in this loop.
+// bump, not a wipe — and the table lives in the pooled evaluation
+// scratch, reused across enumerations and queries, so steady-state
+// operation allocates nothing. A flat Go map would serve the same purpose
+// at roughly 3-4x the per-op cost, which is material because the
+// heavy-twig tail is spent almost entirely in this loop.
 type pathTrie struct {
 	keys  []uint64
 	vals  []int32
@@ -31,7 +31,7 @@ const trieHashMult = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 // the epoch bump.
 func (t *pathTrie) reset() {
 	if len(t.keys) == 0 {
-		const initCap = 1 << 10
+		const initCap = 1 << 8
 		t.keys = make([]uint64, initCap)
 		t.vals = make([]int32, initCap)
 		t.ep = make([]int32, initCap)
@@ -103,7 +103,7 @@ func (t *pathTrie) grow() {
 func (t *pathTrie) markEmitted(id int32, emitIdx int) (prev int32, dup bool) {
 	i := int(id)
 	if i >= len(t.seenEp) {
-		n := max(1024, len(t.seenEp)*2)
+		n := max(256, len(t.seenEp)*2)
 		for n <= i {
 			n *= 2
 		}
@@ -120,4 +120,9 @@ func (t *pathTrie) markEmitted(id int32, emitIdx int) (prev int32, dup bool) {
 	t.seenEp[i] = t.epoch
 	t.seenVal[i] = int32(emitIdx)
 	return 0, false
+}
+
+// bytes is the memory the trie's tables hold.
+func (t *pathTrie) bytes() int {
+	return capBytes(t.keys) + capBytes(t.vals) + capBytes(t.ep) + capBytes(t.seenEp) + capBytes(t.seenVal)
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
+
+	"treesketch/internal/atomicfile"
 )
 
 // Snapshot is a point-in-time copy of every metric in a registry, in a form
@@ -154,35 +154,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WriteJSONFile writes the registry snapshot to the file at path. The write
-// is atomic — the snapshot lands in a temp file in the same directory and is
-// renamed over path — so a crash mid-write can never leave a truncated
-// sidecar next to otherwise-valid outputs.
+// is atomic (see atomicfile.Write), so a crash mid-write can never leave a
+// truncated sidecar next to otherwise-valid outputs.
 func (r *Registry) WriteJSONFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		return cleanup(err)
-	}
-	// CreateTemp files are 0600; published snapshots should match the
-	// usual create mode.
-	if err := f.Chmod(0o644); err != nil {
-		return cleanup(fmt.Errorf("obs: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, r.WriteJSON); err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
 	return nil

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"treesketch/internal/atomicfile"
 )
 
 // fileHeader guards against decoding unrelated gob streams.
@@ -51,17 +53,14 @@ func Decode(r io.Reader) (*Sketch, error) {
 	return sk, nil
 }
 
-// SaveFile writes the sketch to a file.
+// SaveFile writes the sketch to the file at path. The save is atomic (see
+// atomicfile.Write): a failed or interrupted save leaves any previous
+// synopsis at path intact.
 func (sk *Sketch) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sketch: %w", err)
+	if err := atomicfile.Write(path, sk.Encode); err != nil {
+		return fmt.Errorf("sketch: save %s: %w", path, err)
 	}
-	if err := sk.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // LoadFile reads a sketch from a file written by SaveFile.

@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -92,5 +93,51 @@ func TestEncodeCompactsTombstones(t *testing.T) {
 	}
 	if len(back.Nodes) != back.NumNodes() {
 		t.Fatal("decoded sketch has holes")
+	}
+}
+
+// TestSaveFileFailureKeepsOldFile pins the atomic save: a save whose
+// encoding fails leaves the synopsis already at the path byte-identical
+// and no temp file behind.
+func TestSaveFileFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "syn.bin")
+	_, _, good := fromDoc("r(a(b),a(b,b))")
+	if err := good.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two nodes claiming one ID compact to a node list with a hole, which
+	// gob refuses to encode.
+	_, _, bad := fromDoc("r(a(b),a(b,b))")
+	for _, u := range bad.Nodes {
+		u.ID = 0
+	}
+	if err := bad.SaveFile(path); err == nil {
+		t.Fatal("SaveFile of an unencodable sketch succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the old synopsis: %d bytes, was %d", len(after), len(before))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only syn.bin", names)
+	}
+	if _, err := LoadFile(path); err != nil {
+		t.Fatalf("old synopsis no longer loads: %v", err)
 	}
 }

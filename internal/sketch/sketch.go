@@ -242,17 +242,22 @@ func (sk *Sketch) Compact() *Sketch {
 	return out
 }
 
-// Check validates internal consistency: live edges point at live nodes,
-// edge Avg equals Sum/Count, counts are positive, edges are sorted and
+// Check validates internal consistency: every live node's ID is its index,
+// live edges point at live nodes, counts are positive, edge statistics are
+// finite and non-negative, edge Avg equals Sum/Count, an edge carries no
+// more children than its child's extent holds, edges are sorted and
 // deduplicated, the root is live, and the graph is acyclic. It returns the
 // first violation found.
 func (sk *Sketch) Check() error {
 	if sk.Root < 0 || sk.Root >= len(sk.Nodes) || sk.Nodes[sk.Root] == nil {
 		return fmt.Errorf("sketch: root %d is not a live node", sk.Root)
 	}
-	for _, u := range sk.Nodes {
+	for i, u := range sk.Nodes {
 		if u == nil {
 			continue
+		}
+		if u.ID != i {
+			return fmt.Errorf("sketch: node at index %d has ID %d", i, u.ID)
 		}
 		if u.Count <= 0 {
 			return fmt.Errorf("sketch: node %d has count %d", u.ID, u.Count)
@@ -265,6 +270,20 @@ func (sk *Sketch) Check() error {
 			prev = e.Child
 			if e.Child < 0 || e.Child >= len(sk.Nodes) || sk.Nodes[e.Child] == nil {
 				return fmt.Errorf("sketch: node %d has edge to dead node %d", u.ID, e.Child)
+			}
+			for _, v := range [...]float64{e.Avg, e.Sum, e.SumSq, e.MinK} {
+				// NaN fails every comparison, so it must be rejected by
+				// what it is rather than by a bound.
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					return fmt.Errorf("sketch: node %d edge to %d: statistic %g is not finite and non-negative", u.ID, e.Child, v)
+				}
+			}
+			// Each element has one parent, so the children an edge counts
+			// are distinct elements of the child's extent. This also bounds
+			// every path product by an extent size, which keeps estimates
+			// finite.
+			if c := float64(sk.Nodes[e.Child].Count); e.Sum > c+1e-6*(1+c) {
+				return fmt.Errorf("sketch: node %d edge to %d: Sum %g > child count %g", u.ID, e.Child, e.Sum, c)
 			}
 			wantAvg := e.Sum / float64(u.Count)
 			if math.Abs(e.Avg-wantAvg) > 1e-6*(1+math.Abs(wantAvg)) {

@@ -142,6 +142,37 @@ func TestCheckCatchesSumSqViolation(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsUnusableStatistics pins the statistics the evaluator
+// cannot use: NaN passes every ordered comparison, so it and the other
+// non-finite or negative values are rejected by what they are, as are edges
+// counting more children than the child extent holds and nodes whose ID
+// is not their index.
+func TestCheckRejectsUnusableStatistics(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(sk *Sketch, e *Edge)
+	}{
+		{"NaN sums", func(_ *Sketch, e *Edge) { e.Sum, e.Avg = math.NaN(), math.NaN() }},
+		{"NaN SumSq", func(_ *Sketch, e *Edge) { e.SumSq = math.NaN() }},
+		{"NaN MinK", func(_ *Sketch, e *Edge) { e.MinK = math.NaN() }},
+		{"infinite SumSq", func(_ *Sketch, e *Edge) { e.SumSq = math.Inf(1) }},
+		{"negative sums", func(_ *Sketch, e *Edge) { e.Sum, e.Avg = -2, -2 }},
+		{"negative MinK", func(_ *Sketch, e *Edge) { e.MinK = -1 }},
+		{"more children than the child extent", func(_ *Sketch, e *Edge) { e.Sum, e.Avg, e.SumSq = 3, 3, 9 }},
+		{"ID not its index", func(sk *Sketch, _ *Edge) { sk.Nodes[1].ID = 0 }},
+	}
+	for _, c := range cases {
+		_, _, sk := fromDoc("r(a,a)")
+		if err := sk.Check(); err != nil {
+			t.Fatalf("fixture invalid: %v", err)
+		}
+		c.mut(sk, &sk.Nodes[sk.Root].Edges[0])
+		if err := sk.Check(); err == nil {
+			t.Errorf("%s: Check accepted the sketch", c.name)
+		}
+	}
+}
+
 func TestReaches(t *testing.T) {
 	_, _, sk := fromDoc("r(a(b(c)),d)")
 	ids := map[string]int{}

@@ -141,10 +141,8 @@ func (a *approxer) batch(ctx context.Context) (res *Result) {
 			res = &Result{Canceled: true}
 			a.reg.Counter("eval.approx.canceled").Inc()
 		}
-		// Keep the full latency distribution alongside the phase timer so
-		// snapshots can report p50/p95/p99 (see Histogram.Quantile); canceled
-		// runs record the time they burned before aborting.
-		a.reg.Histogram("eval.approx.latency_seconds").Observe(span.End().Seconds())
+		// Canceled runs record the time they burned before aborting.
+		span.End()
 		a.flush(res)
 		a.release()
 	}()

@@ -29,8 +29,7 @@ type ExactResult struct {
 	// ExactContext callers with a cancelable context can observe it.
 	Canceled bool
 
-	ev    *evaluator
-	limit int // default TopKNestingTree budget, from ExactOptions.Limit
+	ev *evaluator
 }
 
 // TupleOverflowError reports that a query's exact binding-tuple count
@@ -79,13 +78,8 @@ func Exact(ix *Index, q *query.Query) *ExactResult {
 func ExactContext(ctx context.Context, ix *Index, q *query.Query) (r *ExactResult) {
 	tr := obs.TraceFrom(ctx)
 	span := obs.StartSpan("eval.exact.query")
+	defer span.End()
 	reg := obs.Default()
-	// The span feeds the phase timer (count/total/extrema); the histogram
-	// additionally keeps the latency distribution so percentiles (p50/p95/
-	// p99) survive into snapshots for the bench harness.
-	defer func() {
-		reg.Histogram("eval.exact.latency_seconds").Observe(span.End().Seconds())
-	}()
 	reg.Counter("eval.exact.queries").Inc()
 	ts := tr.StartSpan("eval.plan")
 	ev := newEvaluator(ix, q)

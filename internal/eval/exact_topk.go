@@ -2,32 +2,11 @@ package eval
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 
 	"treesketch/internal/obs"
-	"treesketch/internal/query"
 	"treesketch/internal/xmltree"
 )
-
-// ExactOptions carries evaluation options for the exact path; the zero
-// value is Exact's historical behavior.
-type ExactOptions struct {
-	// Limit is the default node budget TopKNestingTree applies when its own
-	// argument is zero: materialization stops after this many nesting-tree
-	// nodes, emitted best-first. 0 or negative means unbounded. The tuple
-	// count itself is always exact — the budget only bounds materialization,
-	// which is where an answer's memory cost lives.
-	Limit int
-}
-
-// ExactOpts is ExactContext with options threaded through, mirroring how
-// ApproxContext carries Options.Limit on the approximate side.
-func ExactOpts(ctx context.Context, ix *Index, q *query.Query, opts ExactOptions) *ExactResult {
-	r := ExactContext(ctx, ix, q)
-	r.limit = opts.Limit
-	return r
-}
 
 // ntItem is one pending nesting-tree node: a valid (variable, element)
 // binding occurrence waiting to be materialized under its output parent.
@@ -67,11 +46,10 @@ func (h *ntHeap) Pop() any {
 // (each materialized node contributes mass 1; ErrorBound sums the exact
 // sizes of the unexpanded frontier subtrees).
 //
-// limit == 0 falls back to the ExactOptions.Limit the result was evaluated
-// with; a value <= 0 after that fallback materializes the full tree (under
-// the same default cap as NestingTree, exceeding it is an error). Children
-// appear under their parent in emission (mass) order, not document order —
-// the point of the mode is that the heavy answers surface first.
+// A limit <= 0 materializes the full tree (under the same default cap as
+// NestingTree, exceeding it is an error). Children appear under their
+// parent in emission (mass) order, not document order — the point of the
+// mode is that the heavy answers surface first.
 //
 // A context deadline (the ctx the result was evaluated under) is observed
 // at two granularities: between node expansions the loop stops gracefully
@@ -81,9 +59,6 @@ func (h *ntHeap) Pop() any {
 // partially built tree cannot price a sound ErrorBound, so nothing is
 // returned).
 func (r *ExactResult) TopKNestingTree(limit int) (t *xmltree.Tree, info *TopKInfo, err error) {
-	if limit == 0 {
-		limit = r.limit
-	}
 	info = &TopKInfo{}
 	if limit > 0 {
 		info.K = limit

@@ -65,28 +65,6 @@ func TestExactTopKNestingTree(t *testing.T) {
 	}
 }
 
-// TestExactOptsThreadsLimit checks the ExactOptions.Limit default reaches
-// TopKNestingTree when the call site passes zero.
-func TestExactOptsThreadsLimit(t *testing.T) {
-	doc := xmltree.MustCompact("r(a(b,b),a(b),a)")
-	ix := NewIndex(doc)
-	q, err := query.Parse("//a{//b?}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := ExactOpts(context.Background(), ix, q, ExactOptions{Limit: 2})
-	tr, info, err := res.TopKNestingTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != 2 || info.Expanded != 2 || info.K != 2 {
-		t.Fatalf("threaded limit: size=%d expanded=%d k=%d, want 2/2/2", tr.Size(), info.Expanded, info.K)
-	}
-	if info.Exhausted {
-		t.Fatal("budget 2 on a larger answer reported Exhausted")
-	}
-}
-
 // TestExactContextCanceled pins the exact evaluator's cancellation
 // contract: an expired context stops the evaluation (Canceled result, no
 // bogus count), a live background context is untouched, and a cancellation
@@ -116,12 +94,12 @@ func TestExactContextCanceled(t *testing.T) {
 	// Cancel after the count but before materialization: the best-first
 	// loop must stop at its boundary check with at least the root emitted.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	r2 := ExactOpts(ctx2, ix, q, ExactOptions{Limit: 4})
+	r2 := ExactContext(ctx2, ix, q)
 	if r2.Canceled {
 		t.Fatal("live evaluation reported Canceled")
 	}
 	cancel2()
-	nt, info, err := r2.TopKNestingTree(0)
+	nt, info, err := r2.TopKNestingTree(4)
 	if err != nil {
 		// A cancellation inside the subtree-size DP surfaces as the
 		// context's error instead of a partial tree; both are sound.

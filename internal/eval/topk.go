@@ -64,7 +64,7 @@ func (a *approxer) topK(ctx context.Context) *Result {
 	span := a.reg.StartSpan("eval.topk.query")
 	a.reg.Counter("eval.topk.queries").Inc()
 	res := a.runTopK(ctx)
-	a.reg.Histogram("eval.topk.latency_seconds").Observe(span.End().Seconds())
+	span.End()
 	a.flush(res)
 	a.release()
 	info := res.TopK

@@ -13,7 +13,7 @@ import (
 )
 
 // MetricNameAnalyzer checks every obs metric registration site — Counter,
-// Gauge, Histogram, Timer, StartSpan, Observe, Windowed — against the canonical
+// Gauge, Histogram, StartSpan, Windowed — against the canonical
 // metric-name grammar shared with the runtime validator in
 // internal/metricname, and reports one name registered under two different
 // metric kinds anywhere in the module.
@@ -37,9 +37,7 @@ var metricKinds = map[string]string{
 	"Counter":   "counter",
 	"Gauge":     "gauge",
 	"Histogram": "histogram",
-	"Timer":     "timer",
 	"StartSpan": "timer",
-	"Observe":   "timer",
 	"Windowed":  "windowed",
 }
 

@@ -14,7 +14,6 @@ func registerTopK(r *obs.Registry) {
 	r.Counter("eval.topk.exhausted")         // ok
 	r.Counter("eval.topk.budget_stops")      // ok
 	r.Counter("eval.topk.work_capped")       // ok
-	r.Histogram("eval.topk.latency_seconds") // ok
 	r.Histogram("eval.topk.error_bound")     // ok
 	r.Counter("serve.http.deadline_partial") // ok
 	r.Counter("serve.http.tuple_overflow")   // ok

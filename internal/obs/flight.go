@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // FlightRecorder retains the K slowest request traces seen so far — a
 // bounded flight log of the worst queries, each with its query text, phase
@@ -69,19 +66,4 @@ func (f *FlightRecorder) Slowest() []TraceSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]TraceSnapshot(nil), f.traces...)
-}
-
-// Threshold returns the duration a trace must exceed to be retained right
-// now: zero while the recorder has spare capacity, the fastest retained
-// trace's total otherwise.
-func (f *FlightRecorder) Threshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.traces) < f.max {
-		return 0
-	}
-	return time.Duration(f.traces[len(f.traces)-1].TotalSeconds * float64(time.Second))
 }

@@ -123,15 +123,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Mean returns the arithmetic mean of the observations, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile estimates the p-quantile (0 <= p <= 1) of the observations by
 // linear interpolation inside the log-2 bucket holding the target rank.
 // Bucket bounds are clamped to the observed Min and Max, so a histogram

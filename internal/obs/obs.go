@@ -1,6 +1,6 @@
 // Package obs is the observability substrate of the TreeSketch system: a
 // dependency-free, concurrency-safe registry of named counters, gauges,
-// log-scale histograms, and phase timers, with JSON and expvar-style text
+// log-scale histograms, and span timers, with JSON and expvar-style text
 // snapshot export plus runtime/pprof profiling helpers.
 //
 // Metric names follow the convention "pkg.subsystem.name" (for example
@@ -37,7 +37,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	timers     map[string]*Timer
+	timers     map[string]*Histogram // span durations in seconds, by span name
 	windows    map[string]*WindowedHistogram
 
 	kinds    map[string]string // name -> kind of first registration
@@ -50,7 +50,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		timers:     make(map[string]*Timer),
+		timers:     make(map[string]*Histogram),
 		windows:    make(map[string]*WindowedHistogram),
 		kinds:      make(map[string]string),
 	}
@@ -181,23 +181,24 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Timer returns the timer with the given name, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
+// timer returns the duration histogram the spans of the given name feed,
+// creating it on first use.
+func (r *Registry) timer(name string) *Histogram {
 	r.mu.RLock()
-	t, ok := r.timers[name]
+	h, ok := r.timers[name]
 	r.mu.RUnlock()
 	if ok {
-		return t
+		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok = r.timers[name]; ok {
-		return t
+	if h, ok = r.timers[name]; ok {
+		return h
 	}
 	r.noteMetric("timer", name)
-	t = &Timer{}
-	r.timers[name] = t
-	return t
+	h = newHistogram()
+	r.timers[name] = h
+	return h
 }
 
 // Reset removes every metric from the registry. Meant for tests and for
@@ -208,7 +209,7 @@ func (r *Registry) Reset() {
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
 	r.histograms = make(map[string]*Histogram)
-	r.timers = make(map[string]*Timer)
+	r.timers = make(map[string]*Histogram)
 	r.windows = make(map[string]*WindowedHistogram)
 	r.kinds = make(map[string]string)
 	r.nameErrs = nil

@@ -127,47 +127,70 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestTimerSpan pins a registry span: End observes its duration into the
+// timer histogram of its name, and the snapshot's timer view matches that
+// histogram's count, sum, extrema and buckets.
 func TestTimerSpan(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("test.phase")
 	time.Sleep(2 * time.Millisecond)
 	d := sp.End()
-	tm := r.Timer("test.phase")
-	if tm.Count() != 1 {
-		t.Fatalf("count = %d, want 1", tm.Count())
+	r.timer("test.phase").Observe(100)
+	h := r.timer("test.phase")
+	if h.Count() != 2 || h.Min() != d.Seconds() || h.Max() != 100 {
+		t.Fatalf("timer count/min/max = %d/%g/%g, span returned %v", h.Count(), h.Min(), h.Max(), d)
 	}
-	if tm.Total() < 2*time.Millisecond || tm.Total() != d {
-		t.Fatalf("total = %v, span returned %v", tm.Total(), d)
+	if d < 2*time.Millisecond {
+		t.Fatalf("span returned %v, want >= 2ms", d)
 	}
-	if tm.Min() != d || tm.Max() != d {
-		t.Fatalf("min/max = %v/%v, want %v", tm.Min(), tm.Max(), d)
+	want := snapshotHistogram(h)
+	got := r.Snapshot().Timers["test.phase"]
+	if got.Count != want.Count || got.TotalSeconds != want.Sum || got.MinSeconds != want.Min ||
+		got.MaxSeconds != want.Max || !reflect.DeepEqual(got.Buckets, want.Buckets) || len(got.Buckets) != 2 {
+		t.Fatalf("timer snapshot %+v does not match its histogram %+v", got, want)
 	}
-	// A zero Span is inert.
+}
+
+// TestZeroSpan pins the inert span: End returns 0 and records into no
+// registry.
+func TestZeroSpan(t *testing.T) {
+	before := len(Default().Snapshot().Timers)
 	var zero Span
 	if zero.End() != 0 {
 		t.Fatal("zero span must be a no-op")
 	}
+	if after := len(Default().Snapshot().Timers); after != before {
+		t.Fatalf("zero span changed the default registry's timers: %d -> %d", before, after)
+	}
 }
 
+// TestTimerConcurrent ends spans of one name from many goroutines (run
+// under -race): the timer counts every one exactly.
 func TestTimerConcurrent(t *testing.T) {
 	r := NewRegistry()
+	tr := r.NewTrace("q")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Observe("test.phase", time.Duration(i+1)*time.Microsecond)
+				r.StartSpan("test.phase").End()
+				tr.StartSpan("test.phase").End()
 			}
 		}()
 	}
 	wg.Wait()
-	tm := r.Timer("test.phase")
-	if tm.Count() != 800 {
-		t.Fatalf("count = %d, want 800", tm.Count())
+	ts := r.Snapshot().Timers["test.phase"]
+	var inBuckets int64
+	for _, b := range ts.Buckets {
+		inBuckets += b.Count
 	}
-	if tm.Min() != time.Microsecond || tm.Max() != 100*time.Microsecond {
-		t.Fatalf("min/max = %v/%v", tm.Min(), tm.Max())
+	if ts.Count != 1600 || inBuckets != 1600 {
+		t.Fatalf("count = %d, bucket total = %d, want 1600", ts.Count, inBuckets)
+	}
+	if len(tr.Snapshot().Spans) != 800 {
+		t.Fatalf("trace kept %d spans, want 800", len(tr.Snapshot().Spans))
 	}
 }
 
@@ -182,8 +205,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Histogram("a") != r.Histogram("a") {
 		t.Error("Histogram must return a stable instance per name")
 	}
-	if r.Timer("a") != r.Timer("a") {
-		t.Error("Timer must return a stable instance per name")
+	if r.timer("a") != r.timer("a") {
+		t.Error("timer must return a stable instance per name")
 	}
 	if Or(nil) != Default() {
 		t.Error("Or(nil) must be the default registry")
@@ -224,7 +247,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// whose bounds must still be JSON-encodable.
 	r.Histogram("pkg.sub.extreme").Observe(0)
 	r.Histogram("pkg.sub.extreme").Observe(math.Ldexp(1, 60))
-	r.Observe("pkg.sub.phase", 5*time.Millisecond)
+	r.timer("pkg.sub.phase").Observe(0.005)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -274,7 +297,7 @@ func TestWriteText(t *testing.T) {
 	r.Counter("z.count").Add(3)
 	r.Counter("a.count").Add(1)
 	r.Gauge("m.depth").Set(9)
-	r.Observe("p.phase", time.Second)
+	r.timer("p.phase").Observe(1)
 	r.Histogram("h.vals").Observe(2)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {

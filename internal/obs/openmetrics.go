@@ -17,10 +17,9 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 //
 //   - counters become "<name>_total" counter samples;
 //   - gauges become plain gauge samples;
-//   - timers become summaries: "<name>_seconds_count" / "<name>_seconds_sum",
-//     with the extrema as companion gauges;
 //   - histograms become classic cumulative-bucket histograms with "le"
-//     labels derived from the log-2 bucket upper bounds;
+//     labels derived from the log-2 bucket upper bounds, and span timers
+//     become such histograms named "<name>_seconds";
 //   - windowed histograms additionally export "<name>_p50" / "<name>_p99"
 //     gauges over the merged window and a "<name>_per_sec" observation rate,
 //     so a scrape sees the last-window tail without needing PromQL.
@@ -41,10 +40,9 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	}
 	for _, n := range sortedNames(s.Timers) {
 		t := s.Timers[n]
-		fam := promName(n) + "_seconds"
-		ew.printf("# TYPE %s summary\n%s_count %d\n%s_sum %s\n", fam, fam, t.Count, fam, promFloat(t.TotalSeconds))
-		ew.printf("# TYPE %s_min gauge\n%s_min %s\n", fam, fam, promFloat(t.MinSeconds))
-		ew.printf("# TYPE %s_max gauge\n%s_max %s\n", fam, fam, promFloat(t.MaxSeconds))
+		writeHistogramFamily(ew, promName(n)+"_seconds", HistogramSnapshot{
+			Count: t.Count, Sum: t.TotalSeconds, Min: t.MinSeconds, Max: t.MaxSeconds, Buckets: t.Buckets,
+		})
 	}
 	for _, n := range sortedNames(s.Histograms) {
 		writeHistogramFamily(ew, promName(n), s.Histograms[n])

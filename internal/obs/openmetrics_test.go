@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // populated builds a registry with one metric of every kind, on a frozen
@@ -16,7 +15,9 @@ func populated(t *testing.T) *Registry {
 	r := NewRegistry()
 	r.Counter("serve.http.requests").Add(42)
 	r.Gauge("serve.http.inflight").Set(3)
-	r.Observe("serve.request.handle", 250*time.Millisecond)
+	// A span timer with observations in two buckets.
+	r.timer("serve.request.handle").Observe(0.250)
+	r.timer("serve.request.handle").Observe(0.001)
 	h := r.Histogram("eval.approx.nodes")
 	for _, v := range []float64{1, 2, 4, 8} {
 		h.Observe(v)
@@ -42,8 +43,9 @@ func TestWriteOpenMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE serve_http_requests counter\nserve_http_requests_total 42\n",
 		"serve_http_inflight 3\n",
-		"# TYPE serve_request_handle_seconds summary\n",
-		"serve_request_handle_seconds_count 1\n",
+		"# TYPE serve_request_handle_seconds histogram\n",
+		"serve_request_handle_seconds_count 2\n",
+		"serve_request_handle_seconds_sum 0.251\n",
 		"# TYPE eval_approx_nodes histogram\n",
 		"serve_request_latency_seconds_window_seconds 60\n",
 		"# TYPE serve_request_latency_seconds_p50 gauge\n",
@@ -55,32 +57,11 @@ func TestWriteOpenMetrics(t *testing.T) {
 		}
 	}
 
-	// Histogram buckets must be cumulative and capped by the +Inf bucket.
-	var lastCum int64 = -1
-	infSeen := false
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "eval_approx_nodes_bucket") {
-			continue
-		}
-		_, val, _ := strings.Cut(line, "} ")
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			t.Fatalf("bad bucket line %q: %v", line, err)
-		}
-		if n < lastCum {
-			t.Errorf("bucket counts not cumulative: %q after %d", line, lastCum)
-		}
-		lastCum = n
-		if strings.Contains(line, `le="+Inf"`) {
-			infSeen = true
-			if n != 4 {
-				t.Errorf("+Inf bucket = %d, want total count 4", n)
-			}
-		}
+	if strings.Contains(out, " summary\n") {
+		t.Error("exposition must carry no summary family")
 	}
-	if !infSeen {
-		t.Error("histogram family must include the +Inf bucket")
-	}
+	checkCumulative(t, out, "eval_approx_nodes", 4)
+	checkCumulative(t, out, "serve_request_handle_seconds", 2)
 
 	// The windowed rate is count over the window span.
 	if !strings.Contains(out, "serve_request_latency_seconds_per_sec "+promFloat(101.0/60)) {
@@ -168,6 +149,40 @@ func TestOpenMetricsColdWindow(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "# TYPE serve_request_latency_seconds_p50 gauge\n") {
 		t.Errorf("warm window lost its p50 family:\n%s", b.String())
+	}
+}
+
+// checkCumulative asserts that histogram family fam has at least two
+// finite buckets, that its bucket counts are cumulative, and that they are
+// capped by a "+Inf" bucket holding the total count.
+func checkCumulative(t *testing.T, exposition, fam string, total int64) {
+	t.Helper()
+	var lastCum int64 = -1
+	finite, infSeen := 0, false
+	for _, line := range strings.Split(exposition, "\n") {
+		if !strings.HasPrefix(line, fam+"_bucket{") {
+			continue
+		}
+		_, val, _ := strings.Cut(line, "} ")
+		n, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("bad bucket line %q: %v", line, err)
+		}
+		if n < lastCum {
+			t.Errorf("%s bucket counts not cumulative: %q after %d", fam, line, lastCum)
+		}
+		lastCum = n
+		if !strings.Contains(line, `le="+Inf"`) {
+			finite++
+			continue
+		}
+		infSeen = true
+		if n != total {
+			t.Errorf("%s +Inf bucket = %d, want total count %d", fam, n, total)
+		}
+	}
+	if !infSeen || finite < 2 {
+		t.Errorf("%s: %d finite buckets, +Inf bucket seen %v; want >= 2 and true", fam, finite, infSeen)
 	}
 }
 

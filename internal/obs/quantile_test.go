@@ -129,7 +129,7 @@ func TestSnapshotQuantileMatchesHistogram(t *testing.T) {
 		h.Observe(math.Mod(x, 1000))
 		x = x*1.7 + 0.1
 	}
-	hs := h.Snapshot()
+	hs := snapshotHistogram(h)
 	if hs.Count != h.Count() {
 		t.Fatalf("snapshot count %d != %d", hs.Count, h.Count())
 	}
@@ -137,8 +137,5 @@ func TestSnapshotQuantileMatchesHistogram(t *testing.T) {
 		if got, want := hs.Quantile(p), h.Quantile(p); got != want {
 			t.Errorf("snapshot Quantile(%g) = %g, histogram says %g", p, got, want)
 		}
-	}
-	if got, want := hs.Mean(), h.Mean(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("snapshot Mean = %g, histogram says %g", got, want)
 	}
 }

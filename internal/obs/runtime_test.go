@@ -104,17 +104,14 @@ func TestQueueMetrics(t *testing.T) {
 func TestTraceLabels(t *testing.T) {
 	var nilTrace *Trace
 	nilTrace.SetLabel("dataset", "x") // must not panic
-	if got := nilTrace.Label("dataset"); got != "" {
-		t.Errorf("nil trace label = %q", got)
+	if got := nilTrace.Snapshot().Labels; got != nil {
+		t.Errorf("nil trace labels = %v", got)
 	}
 
 	tr := NewTrace("//a//b")
 	tr.SetLabel("dataset", "imdb")
 	tr.SetLabel("dataset", "xmark") // overwrite wins
 	tr.SetLabel("shed", "queue_full")
-	if got := tr.Label("dataset"); got != "xmark" {
-		t.Errorf("label = %q, want xmark", got)
-	}
 	snap := tr.Snapshot()
 	if snap.Labels["dataset"] != "xmark" || snap.Labels["shed"] != "queue_full" {
 		t.Errorf("snapshot labels = %v", snap.Labels)

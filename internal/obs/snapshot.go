@@ -26,13 +26,15 @@ type WindowSnapshot struct {
 	HistogramSnapshot
 }
 
-// TimerSnapshot is the exported state of one phase timer. Durations are in
-// seconds so snapshots are unit-stable across tooling.
+// TimerSnapshot is the exported state of one span timer: the histogram of
+// every finished span of that name. Durations are in seconds so snapshots
+// are unit-stable across tooling.
 type TimerSnapshot struct {
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MinSeconds   float64 `json:"min_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
+	Count        int64        `json:"count"`
+	TotalSeconds float64      `json:"total_seconds"`
+	MinSeconds   float64      `json:"min_seconds"`
+	MaxSeconds   float64      `json:"max_seconds"`
+	Buckets      []HistBucket `json:"buckets,omitempty"`
 }
 
 // HistogramSnapshot is the exported state of one histogram: summary moments
@@ -66,14 +68,6 @@ func (hs HistogramSnapshot) Quantile(p float64) float64 {
 	}, len(hs.Buckets))
 }
 
-// Mean returns the arithmetic mean of the snapshotted observations.
-func (hs HistogramSnapshot) Mean() float64 {
-	if hs.Count == 0 {
-		return 0
-	}
-	return hs.Sum / float64(hs.Count)
-}
-
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
@@ -93,12 +87,14 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if len(r.timers) > 0 {
 		s.Timers = make(map[string]TimerSnapshot, len(r.timers))
-		for n, t := range r.timers {
+		for n, h := range r.timers {
+			hs := snapshotHistogram(h)
 			s.Timers[n] = TimerSnapshot{
-				Count:        t.Count(),
-				TotalSeconds: t.Total().Seconds(),
-				MinSeconds:   t.Min().Seconds(),
-				MaxSeconds:   t.Max().Seconds(),
+				Count:        hs.Count,
+				TotalSeconds: hs.Sum,
+				MinSeconds:   hs.Min,
+				MaxSeconds:   hs.Max,
+				Buckets:      hs.Buckets,
 			}
 		}
 	}
@@ -118,14 +114,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Snapshot copies the histogram's current state into its serializable
-// form. It is the accessor embedding code (the bench harness, metric
-// sidecars) uses to freeze one histogram without snapshotting a whole
-// registry.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return snapshotHistogram(h)
 }
 
 func snapshotHistogram(h *Histogram) HistogramSnapshot {

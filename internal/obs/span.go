@@ -1,70 +1,25 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Timer aggregates the durations of a named phase: invocation count, total,
-// and extrema, all in nanoseconds. Timers are fed by Spans.
-type Timer struct {
-	count   atomic.Int64
-	totalNS atomic.Int64
-	minNS   atomic.Int64 // 0 means unset; durations of 0ns are recorded as 1ns
-	maxNS   atomic.Int64
-}
-
-// record adds one completed phase duration.
-func (t *Timer) record(d time.Duration) {
-	ns := int64(d)
-	if ns <= 0 {
-		ns = 1
-	}
-	t.count.Add(1)
-	t.totalNS.Add(ns)
-	for {
-		old := t.minNS.Load()
-		if old != 0 && ns >= old {
-			break
-		}
-		if t.minNS.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-	for {
-		old := t.maxNS.Load()
-		if ns <= old {
-			break
-		}
-		if t.maxNS.CompareAndSwap(old, ns) {
-			break
-		}
-	}
-}
-
-// Count returns the number of recorded phase executions.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the cumulative duration across executions.
-func (t *Timer) Total() time.Duration { return time.Duration(t.totalNS.Load()) }
-
-// Min returns the shortest recorded execution (0 when none).
-func (t *Timer) Min() time.Duration { return time.Duration(t.minNS.Load()) }
-
-// Max returns the longest recorded execution (0 when none).
-func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
-
-// Span is an in-flight measurement of one named phase. Obtain one with
-// StartSpan and finish it with End (or EndAt for pre-taken timestamps);
-// the elapsed time is folded into the phase's Timer.
+// Span is an in-flight measurement of one named phase. Registry.StartSpan,
+// StartSpan and (*Trace).StartSpan open one; End observes the elapsed
+// seconds into the phase's timer — the cumulative per-name duration
+// histogram of the registry the span reports to — and, for a span opened
+// on a trace, appends its SpanRecord to that trace. A zero Span is inert:
+// End reads no clock and records nothing, so spans can be threaded through
+// optionally instrumented paths.
 type Span struct {
-	timer *Timer
+	h     *Histogram // the registry's timer for name; nil when no registry is fed
+	t     *Trace     // the trace the span records onto; nil when untraced
+	id    uint64
+	name  string
 	start time.Time
 }
 
 // StartSpan begins timing the named phase against registry r.
 func (r *Registry) StartSpan(name string) Span {
-	return Span{timer: r.Timer(name), start: time.Now()}
+	return Span{h: r.timer(name), start: time.Now()}
 }
 
 // StartSpan begins timing the named phase against the Default registry.
@@ -72,19 +27,24 @@ func StartSpan(name string) Span {
 	return defaultRegistry.StartSpan(name)
 }
 
-// End finishes the span and returns the measured duration. A zero Span is
-// a no-op, so spans can be threaded through optionally instrumented paths.
+// End finishes the span and returns the measured duration.
 func (s Span) End() time.Duration {
-	if s.timer == nil {
+	if s.h == nil && s.t == nil {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.timer.record(d)
+	if s.h != nil {
+		s.h.Observe(d.Seconds())
+	}
+	if s.t != nil {
+		s.t.mu.Lock()
+		s.t.spans = append(s.t.spans, SpanRecord{
+			SpanID:   s.id,
+			Name:     s.name,
+			Start:    s.start.Sub(s.t.start),
+			Duration: d,
+		})
+		s.t.mu.Unlock()
+	}
 	return d
-}
-
-// Observe folds an externally measured duration into the named phase timer,
-// for call sites that already track their own clocks.
-func (r *Registry) Observe(name string, d time.Duration) {
-	r.Timer(name).record(d)
 }

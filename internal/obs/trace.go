@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// Trace is the request-scoped telemetry record of one query: a tree of named
-// phase spans (parse, plan, memo, emit, ...) hung off a root span, plus a
-// small bag of per-request counters. Traces complement the process-global
-// Registry: the registry aggregates across requests, a Trace explains one.
+// Trace is the request-scoped telemetry record of one query: its named
+// phase spans (parse, plan, memo, emit, ...) plus a small bag of
+// per-request counters. Traces complement the process-global Registry: the
+// registry aggregates across requests, a Trace explains one. A trace made
+// by Registry.NewTrace does both, feeding each span into the registry's
+// timer of the same name as well.
 //
 // A Trace travels through the evaluation stack via context.Context
 // (ContextWithTrace / TraceFrom). Every method is safe on a nil *Trace and
@@ -25,6 +27,7 @@ type Trace struct {
 	id    uint64
 	name  string
 	start time.Time
+	reg   *Registry // timers the spans also feed; nil for NewTrace
 
 	spanSeq atomic.Uint64
 
@@ -43,9 +46,9 @@ var (
 	traceSeq   atomic.Uint64
 )
 
-// NewTrace starts a trace for one request. name is free-form display text
-// (typically the query source) retained in snapshots and the slow-query
-// flight recorder.
+// NewTrace starts a trace for one request that feeds no registry. name is
+// free-form display text (typically the query source) retained in
+// snapshots and the slow-query flight recorder.
 func NewTrace(name string) *Trace {
 	return &Trace{
 		id:    (traceEpoch << 20) | (traceSeq.Add(1) & 0xfffff),
@@ -54,13 +57,13 @@ func NewTrace(name string) *Trace {
 	}
 }
 
-// ID returns the trace identifier, unique within the process and seeded per
-// process start.
-func (t *Trace) ID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.id
+// NewTrace starts a trace like the package-level NewTrace whose spans also
+// feed r's timers, so each request stage gets a distribution across
+// requests besides its place in this request's record.
+func (r *Registry) NewTrace(name string) *Trace {
+	t := NewTrace(name)
+	t.reg = r
+	return t
 }
 
 // IDString is the trace ID in the fixed-width hex form responses and logs
@@ -72,59 +75,28 @@ func (t *Trace) IDString() string {
 	return fmt.Sprintf("%016x", t.id)
 }
 
-// SpanRecord is one completed span of a trace: its IDs, position in the span
-// tree, and timing relative to the trace start.
+// SpanRecord is one completed span of a trace: its ID and its timing
+// relative to the trace start.
 type SpanRecord struct {
 	SpanID   uint64        `json:"span_id"`
-	ParentID uint64        `json:"parent_id"` // 0: child of the root span
 	Name     string        `json:"name"`
 	Start    time.Duration `json:"start_ns"` // offset from trace start
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// TraceSpan is an in-flight span of a Trace. The zero value (from a nil
-// trace) is inert: End and Child are no-ops.
-type TraceSpan struct {
-	t      *Trace
-	id     uint64
-	parent uint64
-	name   string
-	start  time.Time
-}
-
-// StartSpan opens a phase span as a direct child of the trace's root. On a
-// nil trace it returns an inert span without reading the clock.
-func (t *Trace) StartSpan(name string) TraceSpan {
+// StartSpan opens a phase span on the trace; when the trace was made by
+// Registry.NewTrace the span also feeds that registry's timer of the same
+// name. On a nil trace it returns an inert span without reading the clock.
+func (t *Trace) StartSpan(name string) Span {
 	if t == nil {
-		return TraceSpan{}
+		return Span{}
 	}
-	return TraceSpan{t: t, id: t.spanSeq.Add(1), name: name, start: time.Now()}
-}
-
-// Child opens a sub-span nested under s. Inert on a span of a nil trace.
-func (s TraceSpan) Child(name string) TraceSpan {
-	if s.t == nil {
-		return TraceSpan{}
+	s := Span{t: t, id: t.spanSeq.Add(1), name: name}
+	if t.reg != nil {
+		s.h = t.reg.timer(name)
 	}
-	return TraceSpan{t: s.t, id: s.t.spanSeq.Add(1), parent: s.id, name: name, start: time.Now()}
-}
-
-// End closes the span, recording it on the trace, and returns its duration.
-func (s TraceSpan) End() time.Duration {
-	if s.t == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, SpanRecord{
-		SpanID:   s.id,
-		ParentID: s.parent,
-		Name:     s.name,
-		Start:    s.start.Sub(s.t.start),
-		Duration: d,
-	})
-	s.t.mu.Unlock()
-	return d
+	s.start = time.Now()
+	return s
 }
 
 // AddCounter accumulates a named per-request counter (embeddings enumerated,
@@ -155,16 +127,6 @@ func (t *Trace) SetLabel(key, value string) {
 	}
 	t.labels[key] = value
 	t.mu.Unlock()
-}
-
-// Label returns the current value of one label ("" when unset).
-func (t *Trace) Label(key string) string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.labels[key]
 }
 
 // Finish stamps the trace's total duration (first call wins) and returns it.

@@ -3,26 +3,25 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestTraceSpanTree(t *testing.T) {
+// TestTraceSpans pins a trace made by NewTrace: its spans append their
+// records and counters to the trace and feed no registry.
+func TestTraceSpans(t *testing.T) {
+	before := Default().Snapshot().Timers
 	tr := NewTrace("//item[//keyword]")
-	if tr.ID() == 0 {
-		t.Fatal("trace ID should be nonzero")
-	}
 	if got := tr.IDString(); len(got) != 16 {
 		t.Fatalf("IDString %q: want 16 hex chars", got)
 	}
 
-	parse := tr.StartSpan("serve.parse")
+	parse := tr.StartSpan("test.trace.parse")
 	parse.End()
-	plan := tr.StartSpan("eval.plan")
-	inner := plan.Child("eval.memo")
-	inner.End()
+	plan := tr.StartSpan("test.trace.plan")
 	plan.End()
 	tr.AddCounter("embeddings", 7)
 	tr.AddCounter("embeddings", 3)
@@ -33,18 +32,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if s.Name != "//item[//keyword]" {
 		t.Errorf("snapshot name = %q", s.Name)
 	}
-	if len(s.Spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(s.Spans))
-	}
-	byName := make(map[string]SpanRecord)
-	for _, sp := range s.Spans {
-		byName[sp.Name] = sp
-	}
-	if byName["serve.parse"].ParentID != 0 || byName["eval.plan"].ParentID != 0 {
-		t.Error("root-level spans should have ParentID 0")
-	}
-	if got, want := byName["eval.memo"].ParentID, byName["eval.plan"].SpanID; got != want {
-		t.Errorf("child span parent = %d, want %d", got, want)
+	if len(s.Spans) != 2 || s.Spans[0].Name != "test.trace.parse" || s.Spans[1].Name != "test.trace.plan" {
+		t.Fatalf("spans = %+v, want parse then plan", s.Spans)
 	}
 	if s.Counters["embeddings"] != 10 {
 		t.Errorf("counter = %d, want 10", s.Counters["embeddings"])
@@ -55,10 +44,30 @@ func TestTraceSpanTree(t *testing.T) {
 	if s.TotalSeconds <= 0 {
 		t.Errorf("total = %v, want > 0", s.TotalSeconds)
 	}
+	if after := Default().Snapshot().Timers; !reflect.DeepEqual(after, before) {
+		t.Errorf("spans of a NewTrace trace changed the default registry's timers")
+	}
 
 	// Snapshots must serialize: the flight recorder ships them as JSON.
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot marshal: %v", err)
+	}
+}
+
+// TestRegistryTrace pins a trace made by Registry.NewTrace: each span both
+// appends its record to the trace and feeds the registry's timer of its
+// name with the same duration.
+func TestRegistryTrace(t *testing.T) {
+	r := NewRegistry()
+	tr := r.NewTrace("q")
+	d := tr.StartSpan("eval.memo").End()
+	spans := tr.Snapshot().Spans
+	if len(spans) != 1 || spans[0].Name != "eval.memo" || spans[0].Duration != d {
+		t.Fatalf("trace spans = %+v, want one eval.memo of %v", spans, d)
+	}
+	ts, ok := r.Snapshot().Timers["eval.memo"]
+	if !ok || ts.Count != 1 || ts.TotalSeconds != d.Seconds() || len(ts.Buckets) != 1 {
+		t.Fatalf("registry timer = %+v (present %v), want one observation of %v", ts, ok, d)
 	}
 }
 
@@ -76,16 +85,12 @@ func TestTraceFinishFirstCallWins(t *testing.T) {
 // branches on "is tracing on".
 func TestTraceNil(t *testing.T) {
 	var tr *Trace
-	if tr.ID() != 0 || tr.IDString() != "" {
+	if tr.IDString() != "" {
 		t.Error("nil trace should have zero ID")
 	}
 	sp := tr.StartSpan("eval.plan")
 	if sp.End() != 0 {
 		t.Error("inert span End should return 0")
-	}
-	child := sp.Child("eval.memo")
-	if child.End() != 0 {
-		t.Error("inert child End should return 0")
 	}
 	tr.AddCounter("x", 1)
 	if tr.Finish() != 0 {
@@ -118,7 +123,7 @@ func TestTraceContext(t *testing.T) {
 func TestTraceIDsDistinct(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := 0; i < 100; i++ {
-		id := NewTrace("q").ID()
+		id := NewTrace("q").id
 		if seen[id] {
 			t.Fatalf("duplicate trace ID %x", id)
 		}
@@ -168,9 +173,6 @@ func finishedTrace(name string, total time.Duration) *Trace {
 
 func TestFlightRecorderKeepsSlowest(t *testing.T) {
 	rec := NewFlightRecorder(3)
-	if rec.Threshold() != 0 {
-		t.Error("threshold should be 0 while under capacity")
-	}
 	durations := []time.Duration{
 		5 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond,
 		100 * time.Millisecond, 20 * time.Millisecond,
@@ -197,9 +199,6 @@ func TestFlightRecorderKeepsSlowest(t *testing.T) {
 			t.Errorf("slot %d = %gs, want %gs", i, snap.TotalSeconds, wantOrder[i])
 		}
 	}
-	if th := rec.Threshold(); th != 20*time.Millisecond {
-		t.Errorf("threshold = %v, want 20ms", th)
-	}
 }
 
 func TestFlightRecorderNilSafety(t *testing.T) {
@@ -207,7 +206,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	if rec.Record(finishedTrace("q", time.Second)) {
 		t.Error("nil recorder should not retain")
 	}
-	if rec.Slowest() != nil || rec.Threshold() != 0 {
+	if rec.Slowest() != nil {
 		t.Error("nil recorder should report empty state")
 	}
 	live := NewFlightRecorder(2)
@@ -226,7 +225,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				rec.Record(finishedTrace("q", time.Duration(base*50+j)*time.Millisecond))
 				rec.Slowest()
-				rec.Threshold()
 			}
 		}(i)
 	}

@@ -143,11 +143,6 @@ func (w *WindowedHistogram) Merged() HistogramSnapshot {
 	return out
 }
 
-// Quantile estimates the p-quantile over the current window.
-func (w *WindowedHistogram) Quantile(p float64) float64 {
-	return w.Merged().Quantile(p)
-}
-
 // Windowed returns the windowed histogram with the given name, creating it
 // on first use with the default 60-second window. Windowed histograms are a
 // distinct metric kind ("windowed"): registering the same name as both a

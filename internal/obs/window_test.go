@@ -52,7 +52,7 @@ func TestWindowedMergesLiveSlots(t *testing.T) {
 	if m.Sum != 7 || m.Min != 1 || m.Max != 4 {
 		t.Errorf("merged sum/min/max = %v/%v/%v, want 7/1/4", m.Sum, m.Min, m.Max)
 	}
-	if q := w.Quantile(1); q != 4 {
+	if q := w.Merged().Quantile(1); q != 4 {
 		t.Errorf("p100 = %v, want 4", q)
 	}
 }
@@ -80,7 +80,7 @@ func TestWindowedExpiry(t *testing.T) {
 	if m := w.Merged(); m.Count != 0 {
 		t.Errorf("count after expiry = %d, want 0", m.Count)
 	}
-	if q := w.Quantile(0.99); q != 0 {
+	if q := w.Merged().Quantile(0.99); q != 0 {
 		t.Errorf("p99 of an expired window = %v, want 0", q)
 	}
 }
@@ -131,7 +131,7 @@ func TestWindowedDefaults(t *testing.T) {
 	if m := w.Merged(); m.Count != 0 {
 		t.Errorf("empty merged count = %d", m.Count)
 	}
-	if q := w.Quantile(0.5); q != 0 {
+	if q := w.Merged().Quantile(0.5); q != 0 {
 		t.Errorf("empty p50 = %v, want 0", q)
 	}
 }
@@ -180,7 +180,7 @@ func TestWindowedConcurrent(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			clk.advance(150 * time.Millisecond)
 			w.Merged()
-			w.Quantile(0.99)
+			w.Merged().Quantile(0.99)
 		}
 	}()
 	wg.Wait()
@@ -207,14 +207,14 @@ func TestHistogramObserveVsSnapshot(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		s := h.Snapshot()
+		s := snapshotHistogram(h)
 		if s.Count < 0 {
 			t.Errorf("negative count %d", s.Count)
 		}
 		h.Quantile(0.99)
 	}
 	wg.Wait()
-	s := h.Snapshot()
+	s := snapshotHistogram(h)
 	if s.Count != 20000 || s.Min != 1.5 || s.Max != 1.5 {
 		t.Errorf("final snapshot = %+v", s)
 	}

@@ -53,16 +53,22 @@ func (p *Path) MainSteps() []Step { return p.Steps }
 // String renders the path in XPath syntax.
 func (p *Path) String() string {
 	var b strings.Builder
+	p.write(&b)
+	return b.String()
+}
+
+// write renders the path into b. Nested predicates render into the same
+// builder, so a predicate nested d deep costs O(d) bytes, not O(d²).
+func (p *Path) write(b *strings.Builder) {
 	for _, s := range p.Steps {
 		b.WriteString(s.Axis.String())
 		b.WriteString(s.Label)
 		for _, pred := range s.Preds {
 			b.WriteByte('[')
-			b.WriteString(pred.String())
+			pred.write(b)
 			b.WriteByte(']')
 		}
 	}
-	return b.String()
 }
 
 // Edge connects a query variable to a child variable via a path expression.
@@ -119,7 +125,7 @@ func writeEdges(b *strings.Builder, n *Node) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(e.Path.String())
+		e.Path.write(b)
 		if e.Optional {
 			b.WriteByte('?')
 		}

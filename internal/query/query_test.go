@@ -1,6 +1,7 @@
 package query
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,6 +63,25 @@ func TestParseStringRoundTrip(t *testing.T) {
 		if q2.String() != q.String() {
 			t.Errorf("re-parse changed %q", src)
 		}
+	}
+}
+
+// TestStringDeepPredicateLinear bounds the bytes String allocates for a
+// deeply nested predicate to a small multiple of its length: each level
+// renders into the caller's builder instead of copying its own.
+func TestStringDeepPredicateLinear(t *testing.T) {
+	const depth = 2000
+	src := "//a" + strings.Repeat("[//a", depth) + strings.Repeat("]", depth)
+	q := MustParse(src)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := q.String()
+	runtime.ReadMemStats(&after)
+	if got != src {
+		t.Fatalf("deep predicate did not round-trip (%d bytes in, %d out)", len(src), len(got))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(src)) {
+		t.Fatalf("rendering %d bytes allocated %d bytes, want at most %d", len(src), alloc, 8*len(src))
 	}
 }
 

@@ -208,7 +208,7 @@ func TestConcurrentCatalogSwap(t *testing.T) {
 
 	r := exp.NewRunner(exp.Config{TXScale: 2000, Seed: 1})
 	xm, _ := tsbuild.Build(r.Stable("XMark-TX"), tsbuild.Options{BudgetBytes: 10 << 10})
-	imdb := (*s.catalog.Load())["imdb"]
+	imdb := (*s.catalog.Load())["imdb"].sk
 
 	stop := make(chan struct{})
 	var swaps sync.WaitGroup

@@ -90,18 +90,10 @@ type Server struct {
 	maxResultBytes int
 	injectDelay    time.Duration
 
-	// catalog is an immutable map[string]*sketch.Sketch swapped wholesale
-	// on update, so lookups are a single atomic load.
-	catalog atomic.Pointer[map[string]*sketch.Sketch]
-	// ixCatalog maps dataset names to their document indexes for
-	// ?mode=exact; same immutable-swap discipline. Synopsis-only datasets
-	// have no entry.
-	ixCatalog atomic.Pointer[map[string]*eval.Index]
-	// stacks maps live datasets to their tier stacks (POST /update +
-	// base+delta estimates); same immutable-swap discipline. Static
-	// datasets have no entry.
-	stacks atomic.Pointer[map[string]*tier.Stack]
-	mu     sync.Mutex // serializes catalog writers
+	// catalog is an immutable map of the published datasets, swapped
+	// wholesale by publish, so lookups are a single atomic load.
+	catalog atomic.Pointer[map[string]dataset]
+	mu      sync.Mutex // serializes publish
 
 	gate     *admissionGate // nil: admission control disabled
 	draining atomic.Bool
@@ -152,13 +144,18 @@ func New(opts Options) *Server {
 		gSketches:        reg.Gauge("serve.catalog.sketches"),
 		wLatency:         reg.Windowed("serve.request.latency_seconds"),
 	}
-	empty := map[string]*sketch.Sketch{}
-	s.catalog.Store(&empty)
-	emptyIx := map[string]*eval.Index{}
-	s.ixCatalog.Store(&emptyIx)
-	emptyStacks := map[string]*tier.Stack{}
-	s.stacks.Store(&emptyStacks)
+	s.catalog.Store(&map[string]dataset{})
 	return s
+}
+
+// dataset is one published dataset. A static dataset has a synopsis and,
+// when it was built from a document, the index ?mode=exact needs; a live
+// dataset has only its tier stack, whose current view answers every
+// estimate.
+type dataset struct {
+	sk    *sketch.Sketch
+	ix    *eval.Index
+	stack *tier.Stack
 }
 
 // FlightRecorder exposes the server's slow-trace recorder (for tests and
@@ -168,93 +165,59 @@ func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.rec }
 // Registry returns the registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// AddSketch publishes a synopsis under the given dataset name, replacing any
-// previous synopsis of that name. The swap is atomic: in-flight requests
-// keep the catalog they already loaded.
-func (s *Server) AddSketch(name string, sk *sketch.Sketch) {
+// publish swaps in a copy of the catalog with edit applied. In-flight
+// requests keep the catalog they already loaded.
+func (s *Server) publish(edit func(cat map[string]dataset)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := *s.catalog.Load()
-	next := make(map[string]*sketch.Sketch, len(old)+1)
+	next := make(map[string]dataset, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[name] = sk
+	edit(next)
 	s.catalog.Store(&next)
 	s.gSketches.Set(int64(len(next)))
 }
 
-// AddIndex publishes the document index backing a dataset, enabling
-// ?mode=exact for it. Separate from AddSketch because synopsis-only
-// deployments (loading .syn files) have no document to index; exact
-// requests against such datasets get a structured 404.
+// AddSketch publishes a static synopsis under the given dataset name,
+// replacing any previous dataset of that name but keeping the document
+// index of a static one.
+func (s *Server) AddSketch(name string, sk *sketch.Sketch) {
+	s.publish(func(cat map[string]dataset) { cat[name] = dataset{sk: sk, ix: cat[name].ix} })
+}
+
+// AddIndex attaches the document index backing a static dataset published
+// with AddSketch, enabling ?mode=exact for it. Synopsis-only deployments
+// (loading .syn files) have no document to index; exact requests against
+// such datasets get a structured 404. A name with no published synopsis
+// is left alone.
 func (s *Server) AddIndex(name string, ix *eval.Index) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.ixCatalog.Load()
-	next := make(map[string]*eval.Index, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = ix
-	s.ixCatalog.Store(&next)
-}
-
-// AddStack publishes a live (updatable) dataset: estimates answer over the
-// stack's base+delta view and POST /update mutates it. The name is also
-// entered in the sketch catalog (with the stack's current base) so dataset
-// listing and name resolution treat live and static datasets uniformly —
-// but the estimate path always reads the stack's current view, never that
-// snapshot.
-func (s *Server) AddStack(name string, st *tier.Stack) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.stacks.Load()
-	next := make(map[string]*tier.Stack, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = st
-	s.stacks.Store(&next)
-
-	oldCat := *s.catalog.Load()
-	nextCat := make(map[string]*sketch.Sketch, len(oldCat)+1)
-	for k, v := range oldCat {
-		nextCat[k] = v
-	}
-	nextCat[name] = st.View().Base
-	s.catalog.Store(&nextCat)
-	s.gSketches.Set(int64(len(nextCat)))
-}
-
-// stackFor resolves a live dataset; an empty name resolves iff exactly one
-// stack is published.
-func (s *Server) stackFor(name string) (*tier.Stack, string, bool) {
-	stacks := *s.stacks.Load()
-	if name == "" {
-		if len(stacks) == 1 {
-			for n, st := range stacks {
-				return st, n, true
-			}
+	s.publish(func(cat map[string]dataset) {
+		if d, ok := cat[name]; ok && d.sk != nil {
+			d.ix = ix
+			cat[name] = d
 		}
-		return nil, "", false
-	}
-	st, ok := stacks[name]
-	return st, name, ok
+	})
 }
 
-// SetCatalog atomically replaces the whole catalog. In-flight requests keep
-// the catalog they already resolved against; only requests that look up a
-// dataset after the swap see the new set.
-func (s *Server) SetCatalog(cat map[string]*sketch.Sketch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make(map[string]*sketch.Sketch, len(cat))
-	for k, v := range cat {
-		next[k] = v
-	}
-	s.catalog.Store(&next)
-	s.gSketches.Set(int64(len(next)))
+// AddStack publishes a live (updatable) dataset, replacing any previous
+// dataset of that name: estimates answer over the stack's base+delta view
+// and POST /update mutates it.
+func (s *Server) AddStack(name string, st *tier.Stack) {
+	s.publish(func(cat map[string]dataset) { cat[name] = dataset{stack: st} })
+}
+
+// SetCatalog atomically replaces the whole catalog with static synopses.
+// In-flight requests keep the catalog they already resolved against; only
+// requests that look up a dataset after the swap see the new set.
+func (s *Server) SetCatalog(sketches map[string]*sketch.Sketch) {
+	s.publish(func(cat map[string]dataset) {
+		clear(cat)
+		for k, sk := range sketches {
+			cat[k] = dataset{sk: sk}
+		}
+	})
 }
 
 // StartDrain puts the server into draining mode: new requests are shed with
@@ -280,20 +243,27 @@ func (s *Server) Datasets() []string {
 	return names
 }
 
-// lookup resolves a dataset name; an empty name resolves iff exactly one
-// synopsis is published.
-func (s *Server) lookup(name string) (*sketch.Sketch, string, bool) {
+// resolve finds a published dataset; an empty name resolves iff exactly
+// one candidate is published. live narrows the candidates to live
+// datasets, as /update needs.
+func (s *Server) resolve(name string, live bool) (dataset, string, bool) {
 	cat := *s.catalog.Load()
-	if name == "" {
-		if len(cat) == 1 {
-			for n, sk := range cat {
-				return sk, n, true
-			}
-		}
-		return nil, "", false
+	if name != "" {
+		d, ok := cat[name]
+		return d, name, ok && (!live || d.stack != nil)
 	}
-	sk, ok := cat[name]
-	return sk, name, ok
+	var (
+		only  dataset
+		found string
+		n     int
+	)
+	for k, d := range cat {
+		if !live || d.stack != nil {
+			only, found = d, k
+			n++
+		}
+	}
+	return only, found, n == 1
 }
 
 // Handler returns the server's full HTTP surface: the estimate API plus the
@@ -447,8 +417,8 @@ func (s *Server) retryAfterSeconds(code string) int {
 // node budget is both the default and a hard ceiling on ?k=, so an
 // untrusted client can shrink its answer but never lift the daemon's
 // per-query memory cap (a negative k is clamped to the cap too). Without
-// MaxResultBytes, no ?k= means 0 (batch emission).
-func (s *Server) resultLimit(r *http.Request) (int, error) {
+// MaxResultBytes, no ?k= (ks empty) means 0 (batch emission).
+func (s *Server) resultLimit(ks string) (int, error) {
 	capK := 0
 	if s.maxResultBytes > 0 {
 		capK = s.maxResultBytes / resultNodeBytes
@@ -456,7 +426,7 @@ func (s *Server) resultLimit(r *http.Request) (int, error) {
 			capK = 1
 		}
 	}
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks != "" {
 		k, err := strconv.Atoi(ks)
 		if err != nil || k == 0 {
 			return 0, fmt.Errorf("k must be a non-zero integer (negative: unbounded streaming), got %q", ks)
@@ -505,12 +475,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	qsrc := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	qsrc := params.Get("q")
 	if qsrc == "" {
 		s.fail(w, http.StatusBadRequest, codeMissingQuery, "", "missing q parameter")
 		return
 	}
-	tr := obs.NewTrace(qsrc)
+	tr := s.reg.NewTrace(qsrc)
 	ctx = obs.ContextWithTrace(ctx, tr)
 
 	if s.draining.Load() {
@@ -532,12 +503,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		ds.End()
 	}
 
-	limit, err := s.resultLimit(r)
+	limit, err := s.resultLimit(params.Get("k"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, codeBadK, tr.IDString(), err.Error())
 		return
 	}
-	mode := r.URL.Query().Get("mode")
+	mode := params.Get("mode")
 	if mode == "" {
 		mode = "approx"
 	}
@@ -555,17 +526,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sk, dsName, ok := s.lookup(r.URL.Query().Get("dataset"))
+	d, dsName, ok := s.resolve(params.Get("dataset"), false)
 	if !ok {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeUnknownDataset, tr.IDString(),
-			fmt.Sprintf("unknown dataset %q (have %v)", r.URL.Query().Get("dataset"), s.Datasets()))
+			fmt.Sprintf("unknown dataset %q (have %v)", params.Get("dataset"), s.Datasets()))
 		return
 	}
 	tr.SetLabel("dataset", dsName)
 
 	if mode == "exact" {
-		s.serveExact(w, ctx, tr, q, dsName, limit)
+		s.serveExact(w, ctx, tr, q, dsName, d.ix, limit)
 		return
 	}
 
@@ -574,7 +545,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		sel      float64
 		tierResp *TierResponse
 	)
-	if st, _, live := s.stackFor(dsName); live {
+	if st := d.stack; st != nil {
 		// Live dataset: answer over the stack's current immutable view
 		// (base+delta), which never blocks on an in-flight compaction.
 		var info tier.Info
@@ -592,7 +563,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			Compacting:      st.Compacting(),
 		}
 	} else {
-		res = eval.ApproxContext(ctx, sk, q, eval.Options{
+		res = eval.ApproxContext(ctx, d.sk, q, eval.Options{
 			MaxEmbeddings: s.maxEmb,
 			Limit:         limit,
 			Metrics:       s.reg,
@@ -638,15 +609,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // serveExact answers ?mode=exact from the dataset's document index: the
 // true binding-tuple count, plus — under a node budget — a best-first
 // materialization report with the exact remaining-mass bound.
-func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, q *query.Query, dsName string, limit int) {
-	ix, ok := (*s.ixCatalog.Load())[dsName]
-	if !ok {
+func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, q *query.Query, dsName string, ix *eval.Index, limit int) {
+	if ix == nil {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeNoExactIndex, tr.IDString(),
 			fmt.Sprintf("dataset %q has no document index (built from a synopsis only); exact mode needs -doc", dsName))
 		return
 	}
-	res := eval.ExactOpts(ctx, ix, q, eval.ExactOptions{Limit: limit})
+	res := eval.ExactContext(ctx, ix, q)
 	if res.Canceled {
 		// The evaluator stopped at the request deadline with no usable
 		// count; finishEstimate sees the expired ctx and no TopK block and
@@ -746,7 +716,11 @@ func (s *Server) finishEstimate(w http.ResponseWriter, ctx context.Context, tr *
 	if s.draining.Load() {
 		s.mDrainDone.Inc()
 	}
+	// The body carries the trace's total, so its encode is timed after
+	// the trace is finished, on the registry alone.
+	enc := s.reg.StartSpan("serve.encode")
 	s.writeJSON(w, http.StatusOK, resp)
+	enc.End()
 }
 
 // jsonSafe clamps non-finite floats (which encoding/json rejects, killing

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -10,7 +11,9 @@ import (
 
 	"treesketch/internal/exp"
 	"treesketch/internal/obs"
+	"treesketch/internal/tier"
 	"treesketch/internal/tsbuild"
+	"treesketch/internal/xmltree"
 )
 
 // newTestServer builds a Server over a small synthesized dataset and returns
@@ -174,6 +177,56 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestStageHistograms pins the per-stage distributions: on a fresh
+// registry, one /estimate on a static dataset feeds each stage timer on its
+// path once, one /update feeds the decode and absorb timers once, and
+// /metrics renders the stages as histograms.
+func TestStageHistograms(t *testing.T) {
+	s, q := newTestServer(t, Options{})
+	stk, err := tier.New(xmltree.MustCompact("r(a(b),a(b))"), tier.Options{Synchronous: true, Metrics: s.Registry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddStack("live", stk)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	getEstimate(t, ts, "/estimate?dataset=imdb&q="+urlQueryEscape(q))
+	timers := s.Registry().Snapshot().Timers
+	for _, stage := range []string{
+		"serve.request.handle", "serve.parse", "eval.plan", "eval.memo",
+		"eval.emit", "eval.approx.query", "serve.emit", "serve.encode",
+	} {
+		if got := timers[stage].Count; got != 1 {
+			t.Errorf("after one /estimate, %s count = %d, want 1", stage, got)
+		}
+	}
+
+	req := UpdateRequest{Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: "a(b)"}
+	if code := postUpdate(t, ts, req, &UpdateResponse{}); code != 200 {
+		t.Fatalf("update status %d", code)
+	}
+	timers = s.Registry().Snapshot().Timers
+	for _, stage := range []string{"serve.decode", "serve.absorb"} {
+		if got := timers[stage].Count; got != 1 {
+			t.Errorf("after one /update, %s count = %d, want 1", stage, got)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "eval_memo_seconds_bucket{") {
+		t.Error("/metrics carries no eval_memo_seconds histogram")
+	}
+}
+
 func TestDatasetsAndCatalogSwap(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	if got := s.Datasets(); len(got) != 1 || got[0] != "imdb" {
@@ -189,7 +242,7 @@ func TestDatasetsAndCatalogSwap(t *testing.T) {
 		t.Errorf("catalog gauge = %d, want 2", g)
 	}
 	// Two datasets published: an empty dataset parameter is now ambiguous.
-	if _, _, ok := s.lookup(""); ok {
+	if _, _, ok := s.resolve("", false); ok {
 		t.Error("empty dataset name should not resolve with two sketches")
 	}
 }

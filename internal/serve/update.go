@@ -80,7 +80,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.deadline)
 		defer cancel()
 	}
-	tr := obs.NewTrace("update")
+	tr := s.reg.NewTrace("update")
 	ctx = obs.ContextWithTrace(ctx, tr)
 
 	if s.draining.Load() {
@@ -98,9 +98,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req UpdateRequest
+	ds := tr.StartSpan("serve.decode")
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	ds.End()
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, codeParseError, tr.IDString(), fmt.Sprintf("decode body: %v", err))
 		return
 	}
@@ -110,7 +113,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st, dsName, ok := s.stackFor(req.Dataset)
+	d, dsName, ok := s.resolve(req.Dataset, true)
 	if !ok {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeUnknownDataset, tr.IDString(),
@@ -120,10 +123,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	tr.SetLabel("dataset", dsName)
 	tr.SetLabel("op", req.Op)
 
-	var (
-		oid int
-		err error
-	)
+	st := d.stack
+	var oid int
 	as := tr.StartSpan("serve.absorb")
 	switch req.Op {
 	case "insert":
@@ -171,5 +172,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.mDrainDone.Inc()
 	}
+	enc := s.reg.StartSpan("serve.encode")
 	s.writeJSON(w, http.StatusOK, resp)
+	enc.End()
 }

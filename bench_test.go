@@ -18,7 +18,9 @@ import (
 // Experiment benchmarks: one per table and figure of the paper's Section 6
 // (see DESIGN.md §3 for the index). They run the exp harness at a reduced
 // scale so `go test -bench=.` completes in minutes; use cmd/tsexp for
-// larger runs and cmd/tsbench for the standardized regression grid.
+// larger runs. The stage benchmarks after them (BenchmarkBuildStable
+// onward) time single stages in process; perfbench (BENCHMARK.json) times
+// the served request path.
 //
 // Each benchmark reports a domain rate alongside ns/op: elems/s for
 // construction, queries/s for evaluation, mre% / esd for accuracy. The
@@ -228,6 +230,24 @@ func BenchmarkApproxEval(b *testing.B) {
 		r := eval.Approx(sk, q, eval.Options{})
 		if r == nil {
 			b.Fatal("nil result")
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkApproxTopK is BenchmarkApproxEval through the streaming
+// best-first emitter under a 16-node budget (eval.Options.Limit).
+func BenchmarkApproxTopK(b *testing.B) {
+	skipLarge(b)
+	_, st := benchDoc(b, 50000)
+	sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: 20 << 10})
+	q := query.MustParse("//person[//address]{//watches{//watch?},//phone?}")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := eval.Approx(sk, q, eval.Options{Limit: 16})
+		if r.TopK == nil {
+			b.Fatal("no top-k report")
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")

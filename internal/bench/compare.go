@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // WriteJSON serializes the result as indented JSON.
@@ -48,257 +47,71 @@ func ReadFile(path string) (*Result, error) {
 	return &r, nil
 }
 
-// Status classifies one metric's baseline-vs-current delta.
-type Status string
-
-const (
-	// StatusOK: gated metric within its noise threshold.
-	StatusOK Status = "ok"
-	// StatusImproved: gated metric moved in the good direction beyond the
-	// threshold.
-	StatusImproved Status = "improved"
-	// StatusRegressed: gated metric moved in the bad direction beyond the
-	// threshold; fails the gate.
-	StatusRegressed Status = "REGRESSED"
-	// StatusMissing: the baseline has this metric but the current run does
-	// not. Informational: metrics come and go as instrumentation evolves,
-	// and a comparison between builds with different metric sets should
-	// gate on the metrics they share. The lost coverage is surfaced as a
-	// warning instead.
-	StatusMissing Status = "missing"
-	// StatusNew: the current run has this metric but the baseline does
-	// not; informational.
-	StatusNew Status = "new"
-	// StatusInfo: ungated metric (counts, sizes) shown for context only.
-	StatusInfo Status = "info"
-	// StatusSkip: gated metric whose baseline value is 0, so no relative
-	// delta exists; never fails the gate.
-	StatusSkip Status = "skip"
-)
-
-// DeltaRow is one metric's comparison between a baseline and a current run.
-type DeltaRow struct {
-	Benchmark string
-	Metric    string
-	Old, New  float64
-	// Delta is the relative change (new-old)/|old|; NaN when undefined.
-	Delta float64
-	// Threshold is the effective noise threshold (after slack); 0 for
-	// ungated metrics.
-	Threshold float64
-	Status    Status
+// Diff is one difference between two records.
+type Diff struct {
+	// Key names the value: "config", "<cell> <metric>" or
+	// "fingerprint <cell>".
+	Key string
+	// Old and New are the value in each record, "" when absent.
+	Old, New string
 }
 
-// Comparison is the full delta between two benchmark results.
-type Comparison struct {
-	Rows        []DeltaRow
-	Regressions []DeltaRow // rows with StatusRegressed
-	Warnings    []string
+// Compare diffs cur against base exactly: every metric value, every
+// fingerprint and the config must be equal, and present in both or in
+// neither. It returns one Diff per key that differs, sorted by key; nil
+// means the records are identical.
+func Compare(base, cur *Result) []Diff {
+	old, now := base.values(), cur.values()
+	keys := make([]string, 0, len(old)+len(now))
+	for k := range old {
+		keys = append(keys, k)
+	}
+	for k := range now {
+		if _, ok := old[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var diffs []Diff
+	for _, k := range keys {
+		if old[k] != now[k] {
+			diffs = append(diffs, Diff{Key: k, Old: old[k], New: now[k]})
+		}
+	}
+	return diffs
 }
 
-// metricPolicy returns the gating policy for a metric name: whether the
-// metric participates in the gate, whether larger values are better, and
-// the relative noise threshold within which a delta is ignored.
-//
-// Timing and throughput metrics get a wide 30% band — they measure the
-// machine as much as the code. Accuracy metrics (selectivity MRE, ESD) are
-// seed-deterministic, so they gate at 2%. Structural counts (merges, node
-// and byte totals) are shown but not gated: they legitimately change with
-// algorithm work, in either direction. The phase_* breakdown is diagnostic
-// only: each value is a single sub-millisecond span, so its run-to-run
-// jitter dwarfs any real signal (the aggregate tsbuild_seconds is gated
-// instead).
-func metricPolicy(name string) (gated, higherBetter bool, threshold float64) {
-	switch {
-	case strings.HasPrefix(name, "phase_"):
-		return false, false, 0
-	case strings.Contains(name, "_tail_"):
-		// p99/p50 ratio: the ROADMAP's tail target (p99 <= 5x p50). It is
-		// a quotient of two timing percentiles, so it inherits the tail
-		// band; lower is better. Gated once a baseline that carries the
-		// metric exists (against older baselines it surfaces as new /
-		// informational).
-		return true, false, 0.50
-	case strings.Contains(name, "per_sec"):
-		return true, true, 0.30
-	case strings.Contains(name, "_p95_") || strings.Contains(name, "_p99_"):
-		// Tail percentiles are the jumpiest timing metrics even after
-		// the repeated passes; give them a wider band than the medians.
-		return true, false, 0.50
-	case strings.Contains(name, "seconds"):
-		return true, false, 0.30
-	case strings.Contains(name, "mre") || strings.Contains(name, "esd"):
-		return true, false, 0.02
-	default:
-		return false, false, 0
+// values flattens the record into key -> exact textual value. A float
+// prints in the shortest form that parses back to the same bits, so equal
+// text means equal values.
+func (r *Result) values() map[string]string {
+	cfg, _ := json.Marshal(r.Config) // strings, numbers and bools only: cannot fail
+	out := map[string]string{"config": string(cfg)}
+	for cell, m := range r.Benchmarks {
+		for metric, v := range m {
+			out[cell+" "+metric] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
 	}
+	for cell, fp := range r.Fingerprints {
+		out["fingerprint "+cell] = fp
+	}
+	return out
 }
 
-// Compare diffs a current run against a baseline. slack multiplies every
-// noise threshold (CI uses slack > 1 to tolerate noisy shared runners);
-// values <= 0 mean 1.
-func Compare(base, cur *Result, slack float64) *Comparison {
-	if slack <= 0 {
-		slack = 1
-	}
-	c := &Comparison{}
-	if base.Config.Quick != cur.Config.Quick {
-		c.Warnings = append(c.Warnings, fmt.Sprintf(
-			"baseline quick=%v but current quick=%v: numbers are not at the same scale", base.Config.Quick, cur.Config.Quick))
-	}
-	for _, bname := range sortedKeys(base.Benchmarks) {
-		bm := base.Benchmarks[bname]
-		cm, ok := cur.Benchmarks[bname]
-		if !ok {
-			c.Warnings = append(c.Warnings, fmt.Sprintf(
-				"benchmark %s is in the baseline but not the current run", bname))
-			for _, metric := range sortedKeys(bm) {
-				c.Rows = append(c.Rows, DeltaRow{Benchmark: bname, Metric: metric, Old: bm[metric], New: math.NaN(), Delta: math.NaN(), Status: StatusMissing})
-			}
-			continue
-		}
-		missing := 0
-		for _, metric := range sortedKeys(bm) {
-			row := compareMetric(bname, metric, bm[metric], cm, slack)
-			c.Rows = append(c.Rows, row)
-			switch row.Status {
-			case StatusRegressed:
-				c.Regressions = append(c.Regressions, row)
-			case StatusMissing:
-				missing++
-			}
-		}
-		if missing > 0 {
-			c.Warnings = append(c.Warnings, fmt.Sprintf(
-				"benchmark %s: %d baseline metric(s) absent from the current run", bname, missing))
-		}
-		for _, metric := range sortedKeys(cm) {
-			if _, ok := bm[metric]; !ok {
-				c.Rows = append(c.Rows, DeltaRow{Benchmark: bname, Metric: metric, Old: math.NaN(), New: cm[metric], Delta: math.NaN(), Status: StatusNew})
-			}
-		}
-	}
-	for _, bname := range sortedKeys(cur.Benchmarks) {
-		if _, ok := base.Benchmarks[bname]; !ok {
-			for _, metric := range sortedKeys(cur.Benchmarks[bname]) {
-				c.Rows = append(c.Rows, DeltaRow{Benchmark: bname, Metric: metric, Old: math.NaN(), New: cur.Benchmarks[bname][metric], Delta: math.NaN(), Status: StatusNew})
-			}
-		}
-	}
-	return c
-}
-
-func compareMetric(bname, metric string, old float64, cm Metrics, slack float64) DeltaRow {
-	row := DeltaRow{Benchmark: bname, Metric: metric, Old: old, Delta: math.NaN()}
-	nv, ok := cm[metric]
-	if !ok {
-		row.New = math.NaN()
-		row.Status = StatusMissing
-		return row
-	}
-	row.New = nv
-	gated, higherBetter, threshold := metricPolicy(metric)
-	if !gated {
-		row.Status = StatusInfo
-		if old != 0 {
-			row.Delta = (nv - old) / math.Abs(old)
-		}
-		return row
-	}
-	row.Threshold = threshold * slack
-	if old == 0 {
-		// No relative delta exists against a zero baseline; surface the
-		// value but never fail the gate on it.
-		if nv == 0 {
-			row.Delta = 0
-			row.Status = StatusOK
-		} else {
-			row.Status = StatusSkip
-		}
-		return row
-	}
-	row.Delta = (nv - old) / math.Abs(old)
-	worse := row.Delta // for lower-is-better, a positive delta is worse
-	if higherBetter {
-		worse = -row.Delta
-	}
-	switch {
-	case worse > row.Threshold:
-		row.Status = StatusRegressed
-	case -worse > row.Threshold:
-		row.Status = StatusImproved
-	default:
-		row.Status = StatusOK
-	}
-	return row
-}
-
-// Gate returns an error describing every regression, or nil when the
-// comparison is clean. CLI callers turn the error into a nonzero exit.
-func (c *Comparison) Gate() error {
-	if len(c.Regressions) == 0 {
-		return nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d metric(s) failed the regression gate:", len(c.Regressions))
-	for _, r := range c.Regressions {
-		fmt.Fprintf(&b, "\n  %s %s: %.4g -> %.4g (%+.1f%%, threshold ±%.0f%%)",
-			r.Benchmark, r.Metric, r.Old, r.New, 100*r.Delta, 100*r.Threshold)
-	}
-	return fmt.Errorf("%s", b.String())
-}
-
-// WriteTable prints the delta table: every gated metric plus any
-// non-ok rows, grouped by benchmark, followed by a one-line summary.
-func (c *Comparison) WriteTable(w io.Writer) error {
-	for _, warn := range c.Warnings {
-		if _, err := fmt.Fprintf(w, "warning: %s\n", warn); err != nil {
+// WriteTable prints one line per difference and a summary line.
+func WriteTable(w io.Writer, diffs []Diff) error {
+	for _, d := range diffs {
+		if _, err := fmt.Fprintf(w, "%-40s %24s -> %s\n", d.Key, orDash(d.Old), orDash(d.New)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%-18s %-26s %12s %12s %9s %7s  %s\n",
-		"benchmark", "metric", "old", "new", "delta", "thresh", "status"); err != nil {
-		return err
-	}
-	var ok, improved, regressed, missing int
-	for _, r := range c.Rows {
-		switch r.Status {
-		case StatusOK:
-			ok++
-		case StatusImproved:
-			improved++
-		case StatusRegressed:
-			regressed++
-		case StatusMissing:
-			missing++
-		}
-		// Keep the table focused: ungated in-noise context rows are
-		// summarized, not printed.
-		if r.Status == StatusInfo || r.Status == StatusNew {
-			continue
-		}
-		delta, thresh := "n/a", "-"
-		if !math.IsNaN(r.Delta) {
-			delta = fmt.Sprintf("%+.1f%%", 100*r.Delta)
-		}
-		if r.Threshold > 0 {
-			thresh = fmt.Sprintf("%.0f%%", 100*r.Threshold)
-		}
-		if _, err := fmt.Fprintf(w, "%-18s %-26s %12.5g %12.5g %9s %7s  %s\n",
-			r.Benchmark, r.Metric, r.Old, r.New, delta, thresh, r.Status); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "compare: %d ok, %d improved, %d regressed, %d missing (of %d rows)\n",
-		ok, improved, regressed, missing, len(c.Rows))
+	_, err := fmt.Fprintf(w, "compare: %d difference(s)\n", len(diffs))
 	return err
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func orDash(s string) string {
+	if s == "" {
+		return "-"
 	}
-	sort.Strings(keys)
-	return keys
+	return s
 }

@@ -2,282 +2,78 @@ package bench
 
 import (
 	"bytes"
-	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// baseResult builds a minimal two-benchmark baseline for compare tests.
+// baseResult builds a minimal two-cell record for compare tests.
 func baseResult() *Result {
 	return &Result{
 		SchemaVersion: SchemaVersion,
-		GoVersion:     "go-test",
-		Config:        Config{Quick: true},
+		Config:        Config{Datasets: []string{"XMark-TX"}, BudgetsKB: []int{10}, Quick: true},
 		Benchmarks: map[string]Metrics{
-			"build/XMark-TX": {
-				"elements":             10000,
-				"stable_seconds":       0.10,
-				"stable_elems_per_sec": 100000,
-			},
+			"build/XMark-TX": {"elements": 10000},
 			"eval/XMark-TX/10kb": {
-				"approx_p50_seconds": 0.001,
-				"sel_mre_pct":        12.5,
-				"esd_avg":            0.30,
+				"sel_mre_pct": 12.5,
+				"esd_avg":     0.30,
 			},
 		},
+		Fingerprints: map[string]string{"sketch/XMark-TX/10kb": "1b602352cc4ed610"},
 	}
-}
-
-// clone deep-copies a Result's benchmark maps so tests can inject deltas.
-func clone(r *Result) *Result {
-	out := *r
-	out.Benchmarks = make(map[string]Metrics, len(r.Benchmarks))
-	for k, m := range r.Benchmarks {
-		mm := make(Metrics, len(m))
-		for n, v := range m {
-			mm[n] = v
-		}
-		out.Benchmarks[k] = mm
-	}
-	return &out
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	base := baseResult()
-	c := Compare(base, clone(base), 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("identical results failed gate: %v", err)
-	}
-	if len(c.Regressions) != 0 {
-		t.Fatalf("identical results produced %d regressions", len(c.Regressions))
+	if diffs := Compare(baseResult(), baseResult()); diffs != nil {
+		t.Fatalf("identical records differ: %v", diffs)
 	}
 }
 
-func TestCompareWithinNoisePasses(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	// 20% slower is inside the 30% timing band; 1% worse MRE is inside
-	// the 2% accuracy band.
-	cur.Benchmarks["eval/XMark-TX/10kb"]["approx_p50_seconds"] = 0.0012
-	cur.Benchmarks["eval/XMark-TX/10kb"]["sel_mre_pct"] = 12.625
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("within-noise delta failed gate: %v", err)
-	}
-	for _, r := range c.Rows {
-		if r.Status == StatusRegressed {
-			t.Fatalf("unexpected regression: %+v", r)
-		}
-	}
-}
-
+// TestCompareRegressionFailsGate: every kind of change to a record is one
+// difference, whichever direction it moves in.
 func TestCompareRegressionFailsGate(t *testing.T) {
-	base := baseResult()
-
 	cases := []struct {
-		name      string
-		mutate    func(*Result)
-		benchmark string
-		metric    string
+		name string
+		edit func(*Result)
+		key  string
 	}{
-		{"latency regression", func(r *Result) {
-			r.Benchmarks["eval/XMark-TX/10kb"]["approx_p50_seconds"] = 0.002 // 2x slower
-		}, "eval/XMark-TX/10kb", "approx_p50_seconds"},
-		{"throughput regression", func(r *Result) {
-			r.Benchmarks["build/XMark-TX"]["stable_elems_per_sec"] = 50000 // half the rate
-		}, "build/XMark-TX", "stable_elems_per_sec"},
-		{"accuracy regression", func(r *Result) {
-			r.Benchmarks["eval/XMark-TX/10kb"]["sel_mre_pct"] = 13.5 // +8% rel
-		}, "eval/XMark-TX/10kb", "sel_mre_pct"},
+		{"accuracy_regression", func(r *Result) { r.Benchmarks["eval/XMark-TX/10kb"]["sel_mre_pct"] = 12.6 }, "eval/XMark-TX/10kb sel_mre_pct"},
+		{"accuracy_improvement", func(r *Result) { r.Benchmarks["eval/XMark-TX/10kb"]["esd_avg"] = 0.29 }, "eval/XMark-TX/10kb esd_avg"},
+		{"missing_metric", func(r *Result) { delete(r.Benchmarks["eval/XMark-TX/10kb"], "esd_avg") }, "eval/XMark-TX/10kb esd_avg"},
+		{"missing_cell", func(r *Result) { delete(r.Benchmarks, "build/XMark-TX") }, "build/XMark-TX elements"},
+		{"added_metric", func(r *Result) { r.Benchmarks["build/XMark-TX"]["nodes"] = 5 }, "build/XMark-TX nodes"},
+		{"changed_fingerprint", func(r *Result) { r.Fingerprints["sketch/XMark-TX/10kb"] = "1b602352cc4ed611" }, "fingerprint sketch/XMark-TX/10kb"},
+		{"missing_fingerprint", func(r *Result) { delete(r.Fingerprints, "sketch/XMark-TX/10kb") }, "fingerprint sketch/XMark-TX/10kb"},
+		{"changed_config", func(r *Result) { r.Config.Quick = false }, "config"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cur := clone(base)
-			tc.mutate(cur)
-			c := Compare(base, cur, 1)
-			err := c.Gate()
-			if err == nil {
-				t.Fatal("injected regression passed the gate")
+			cur := baseResult()
+			tc.edit(cur)
+			diffs := Compare(baseResult(), cur)
+			if len(diffs) != 1 || diffs[0].Key != tc.key {
+				t.Fatalf("diffs = %+v, want one on %q", diffs, tc.key)
 			}
-			if !strings.Contains(err.Error(), tc.metric) {
-				t.Errorf("gate error does not name %s: %v", tc.metric, err)
-			}
-			found := false
-			for _, r := range c.Regressions {
-				if r.Benchmark == tc.benchmark && r.Metric == tc.metric {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("regression list missing %s %s: %+v", tc.benchmark, tc.metric, c.Regressions)
+			// The diff is symmetric: swapping the records swaps Old and New.
+			back := Compare(cur, baseResult())
+			if len(back) != 1 || back[0].Old != diffs[0].New || back[0].New != diffs[0].Old {
+				t.Fatalf("reverse diffs = %+v, forward %+v", back, diffs)
 			}
 		})
 	}
 }
 
-func TestCompareSlackWidensThresholds(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Benchmarks["eval/XMark-TX/10kb"]["approx_p50_seconds"] = 0.0015 // +50%
-	if err := Compare(base, cur, 1).Gate(); err == nil {
-		t.Fatal("+50% latency passed at slack 1")
-	}
-	if err := Compare(base, cur, 2).Gate(); err != nil {
-		t.Fatalf("+50%% latency failed at slack 2 (60%% band): %v", err)
-	}
-}
-
-func TestCompareImprovementPasses(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Benchmarks["eval/XMark-TX/10kb"]["approx_p50_seconds"] = 0.0004 // 2.5x faster
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("improvement failed gate: %v", err)
-	}
-	var improved bool
-	for _, r := range c.Rows {
-		if r.Metric == "approx_p50_seconds" && r.Status == StatusImproved {
-			improved = true
-		}
-	}
-	if !improved {
-		t.Error("2.5x latency improvement not marked improved")
-	}
-}
-
-func TestCompareMissingBenchmarkInCurrentIsInformational(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	delete(cur.Benchmarks, "eval/XMark-TX/10kb")
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("missing benchmark failed the gate: %v", err)
-	}
-	var sawMissing bool
-	for _, r := range c.Rows {
-		if r.Benchmark == "eval/XMark-TX/10kb" && r.Status == StatusMissing {
-			sawMissing = true
-		}
-	}
-	if !sawMissing {
-		t.Error("dropped benchmark not reported as missing")
-	}
-	var warned bool
-	for _, w := range c.Warnings {
-		if strings.Contains(w, "eval/XMark-TX/10kb") {
-			warned = true
-		}
-	}
-	if !warned {
-		t.Errorf("lost coverage not surfaced as a warning: %v", c.Warnings)
-	}
-}
-
-func TestCompareMissingMetricIsInformational(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	delete(cur.Benchmarks["eval/XMark-TX/10kb"], "approx_p50_seconds")
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("missing metric failed the gate: %v", err)
-	}
-	var sawMissing bool
-	for _, r := range c.Rows {
-		if r.Metric == "approx_p50_seconds" && r.Status == StatusMissing {
-			sawMissing = true
-		}
-	}
-	if !sawMissing {
-		t.Error("dropped metric not reported as missing")
-	}
-	if len(c.Warnings) == 0 {
-		t.Error("lost metric coverage not surfaced as a warning")
-	}
-}
-
-func TestCompareMissingBenchmarkInBaselineIsInformational(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Benchmarks["eval/XMark-TX/20kb"] = Metrics{"approx_p50_seconds": 0.001}
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("new benchmark failed gate: %v", err)
-	}
-	var sawNew bool
-	for _, r := range c.Rows {
-		if r.Benchmark == "eval/XMark-TX/20kb" && r.Status == StatusNew {
-			sawNew = true
-		}
-	}
-	if !sawNew {
-		t.Error("benchmark missing from baseline not reported as new")
-	}
-}
-
-func TestCompareZeroBaselineMetricNeverGates(t *testing.T) {
-	base := baseResult()
-	base.Benchmarks["build/XMark-TX"]["stable_seconds"] = 0
-	cur := clone(base)
-	cur.Benchmarks["build/XMark-TX"]["stable_seconds"] = 0.5
-	c := Compare(base, cur, 1)
-	if err := c.Gate(); err != nil {
-		t.Fatalf("zero baseline metric failed gate: %v", err)
-	}
-	var skip bool
-	for _, r := range c.Rows {
-		if r.Metric == "stable_seconds" {
-			if r.Status != StatusSkip {
-				t.Errorf("zero baseline status = %s, want skip", r.Status)
-			}
-			if !math.IsNaN(r.Delta) {
-				t.Errorf("zero baseline delta = %g, want NaN", r.Delta)
-			}
-			skip = true
-		}
-	}
-	if !skip {
-		t.Fatal("stable_seconds row missing")
-	}
-
-	// Zero baseline and zero current is a clean pass.
-	cur2 := clone(base)
-	if err := Compare(base, cur2, 1).Gate(); err != nil {
-		t.Fatalf("0 -> 0 failed gate: %v", err)
-	}
-}
-
-func TestCompareUngatedMetricsNeverFail(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Benchmarks["build/XMark-TX"]["elements"] = 99999999 // wild structural change
-	if err := Compare(base, cur, 1).Gate(); err != nil {
-		t.Fatalf("ungated metric failed gate: %v", err)
-	}
-}
-
-func TestCompareQuickMismatchWarns(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Config.Quick = false
-	c := Compare(base, cur, 1)
-	if len(c.Warnings) == 0 {
-		t.Fatal("quick/full mismatch produced no warning")
-	}
-}
-
 func TestWriteTableRuns(t *testing.T) {
-	base := baseResult()
-	cur := clone(base)
-	cur.Benchmarks["eval/XMark-TX/10kb"]["approx_p50_seconds"] = 0.01
-	c := Compare(base, cur, 1)
+	cur := baseResult()
+	cur.Benchmarks["eval/XMark-TX/10kb"]["sel_mre_pct"] = 12.75
+	delete(cur.Benchmarks["eval/XMark-TX/10kb"], "esd_avg")
 	var buf bytes.Buffer
-	if err := c.WriteTable(&buf); err != nil {
+	if err := WriteTable(&buf, Compare(baseResult(), cur)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"REGRESSED", "approx_p50_seconds", "compare:"} {
+	for _, want := range []string{"sel_mre_pct", "12.5 -> 12.75", "0.3 -> -", "compare: 2 difference(s)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
@@ -295,21 +91,17 @@ func TestResultRoundTripAndSchemaCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Benchmarks["build/XMark-TX"]["elements"] != 10000 {
-		t.Errorf("round-trip lost metrics: %+v", got.Benchmarks)
-	}
-	if err := Compare(base, got, 1).Gate(); err != nil {
-		t.Errorf("round-trip result failed gate: %v", err)
+	if diffs := Compare(base, got); diffs != nil {
+		t.Errorf("round trip changed the record: %v", diffs)
 	}
 
-	bad := clone(base)
-	bad.SchemaVersion = SchemaVersion + 1
-	badPath := filepath.Join(dir, "bad.json")
-	if err := bad.WriteFile(badPath); err != nil {
+	// A schema-1 record (timed metrics and an obs snapshot) is refused.
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, []byte(`{"schema_version":1,"benchmarks":{"eval/XMark-TX/10kb":{"approx_p50_seconds":0.001}},"obs":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(badPath); err == nil {
-		t.Fatal("mismatched schema version accepted")
+	if _, err := ReadFile(old); err == nil || !strings.Contains(err.Error(), "schema version 1") {
+		t.Fatalf("schema-1 record: err = %v, want a schema version refusal", err)
 	}
 
 	if _, err := ReadFile(filepath.Join(dir, "nope.json")); err == nil {

@@ -1,19 +1,17 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"treesketch/internal/obs"
+	"treesketch/internal/tier"
 )
 
 func TestBenchUpdateLeg(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.UpdateOps = 40
 	cfg = cfg.withDefaults()
-	res := &Result{Benchmarks: make(map[string]Metrics)}
-	if err := benchUpdate(res, newRunner(cfg), obs.NewRegistry(), cfg, "XMark-TX"); err != nil {
+	res := &Result{Benchmarks: make(map[string]Metrics), Fingerprints: make(map[string]string)}
+	if err := benchUpdate(res, newRunner(cfg), cfg, "XMark-TX"); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := res.Benchmarks["update/XMark-TX"]
@@ -24,9 +22,6 @@ func TestBenchUpdateLeg(t *testing.T) {
 	if m["update_ops"] != 40 {
 		t.Errorf("update_ops = %g, want 40", m["update_ops"])
 	}
-	if m["update_absorbs_per_sec"] <= 0 || m["update_absorb_p50_seconds"] <= 0 {
-		t.Errorf("absorb metrics = %v", m)
-	}
 	if m["update_delta_elems"] == 0 || m["update_tiers"] <= 0 {
 		t.Errorf("pre-compaction delta shape = %v, want nonzero delta over >= 1 tier", m)
 	}
@@ -36,19 +31,14 @@ func TestBenchUpdateLeg(t *testing.T) {
 	if mre := m["update_mre_pct"]; mre < 0 || mre > 50 {
 		t.Errorf("update_mre_pct = %g, want within [0, 50]", mre)
 	}
-	if m["compaction_seconds"] <= 0 {
-		t.Errorf("compaction_seconds = %g, want > 0", m["compaction_seconds"])
-	}
-	// The fingerprint identity check ran (benchUpdate errors on mismatch).
-	if m["post_compact_fp_match"] != 1 {
-		t.Errorf("post_compact_fp_match = %g, want 1", m["post_compact_fp_match"])
+	// benchUpdate errors when the compacted base differs from a rebuild.
+	if res.Fingerprints["update/XMark-TX"] == "" {
+		t.Error("no update fingerprint recorded")
 	}
 }
 
 func TestUpdateLegRunsInsideGrid(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.ServeSeconds = -1
-	cfg.OpenLoopSeconds = -1
 	cfg.UpdateOps = 20
 	res, err := Run(cfg)
 	if err != nil {
@@ -57,12 +47,8 @@ func TestUpdateLegRunsInsideGrid(t *testing.T) {
 	if _, ok := res.Benchmarks["update/XMark-TX"]; !ok {
 		t.Fatalf("grid run missing update leg, have %v", sortedKeys(res.Benchmarks))
 	}
-	// The tier stack reports into the run's registry.
-	if res.Obs.Counters["tier.absorbs"] < 20 {
-		t.Errorf("tier.absorbs = %d, want >= 20", res.Obs.Counters["tier.absorbs"])
-	}
-	if res.Obs.Counters["tier.compactions"] == 0 {
-		t.Error("tier.compactions = 0, want >= 1 (the leg forces one)")
+	if res.Benchmarks["update/XMark-TX"]["update_ops"] != 20 {
+		t.Errorf("update cell = %v, want 20 ops", res.Benchmarks["update/XMark-TX"])
 	}
 
 	// Negative disables the leg.
@@ -73,6 +59,9 @@ func TestUpdateLegRunsInsideGrid(t *testing.T) {
 	}
 	if _, ok := res.Benchmarks["update/XMark-TX"]; ok {
 		t.Error("UpdateOps < 0 should disable the update leg")
+	}
+	if _, ok := res.Fingerprints["update/XMark-TX"]; ok {
+		t.Error("UpdateOps < 0 should leave no update fingerprint")
 	}
 }
 
@@ -89,28 +78,38 @@ func TestBenchNegativeLeg(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing negative/%s, have %v", ds, sortedKeys(res.Benchmarks))
 		}
-		if m["queries"] <= 0 {
-			t.Errorf("%s: queries = %g, want > 0", ds, m["queries"])
-		}
 		if m["empty_answer_rate"] != 1 {
 			t.Errorf("%s: empty_answer_rate = %g, want 1 (the paper's negative-workload claim)", ds, m["empty_answer_rate"])
 		}
 	}
 }
 
+// TestDeterminismIncludesUpdateCells: the record's update fingerprint is
+// the compacted view of the seeded script, whatever the compaction's worker
+// count: a replay with one TSBuild worker gives the same fingerprint.
 func TestDeterminismIncludesUpdateCells(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.BudgetsKB = []int{4}
 	cfg.UpdateOps = 20
-	var out bytes.Buffer
-	if err := Determinism(cfg, &out); err != nil {
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	text := out.String()
-	if !strings.Contains(text, "determinism sketch/XMark-TX/04kb fp=") {
-		t.Errorf("missing sketch determinism line:\n%s", text)
+	r := newRunner(cfg)
+	st, err := tier.New(copyTree(r.Doc("XMark-TX")), tier.Options{
+		BudgetBytes:     4 * 1024,
+		Workers:         1,
+		MinCompactElems: 1 << 30,
+		Synchronous:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(text, "determinism update/XMark-TX fp=") {
-		t.Errorf("missing update determinism line:\n%s", text)
+	if err := replayScript(st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	st.Compact()
+	if got, want := res.Fingerprints["update/XMark-TX"], fingerprint(st.View().Fingerprint()); got != want {
+		t.Fatalf("recorded update fingerprint %s, Workers=1 replay %s", got, want)
 	}
 }

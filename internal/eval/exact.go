@@ -62,7 +62,7 @@ func (r *ExactResult) Err() error {
 // methods) is not safe for concurrent use; distinct Exact calls on the same
 // Index are.
 func Exact(ix *Index, q *query.Query) *ExactResult {
-	return ExactContext(context.Background(), ix, q)
+	return ExactContext(context.Background(), ix, q, nil)
 }
 
 // ExactContext is Exact with request-scoped telemetry and cancellation:
@@ -75,17 +75,22 @@ func Exact(ix *Index, q *query.Query) *ExactResult {
 // counter increment per memoized call and nothing else — the phase spans
 // are inert and read no clocks — so the hot path is unchanged for batch
 // callers and float accumulation (hence fingerprints) is untouched.
-func ExactContext(ctx context.Context, ix *Index, q *query.Query) (r *ExactResult) {
+//
+// reg receives the eval.exact.* counters and the eval.exact.query span, of
+// this call and of the result's materialization methods; nil selects
+// obs.Default.
+func ExactContext(ctx context.Context, ix *Index, q *query.Query, reg *obs.Registry) (r *ExactResult) {
+	reg = obs.Or(reg)
 	tr := obs.TraceFrom(ctx)
-	span := obs.StartSpan("eval.exact.query")
+	span := reg.StartSpan("eval.exact.query")
 	defer span.End()
-	reg := obs.Default()
 	reg.Counter("eval.exact.queries").Inc()
 	ts := tr.StartSpan("eval.plan")
 	ev := newEvaluator(ix, q)
 	ev.ctx = ctx
+	ev.reg = reg
 	ts.End()
-	defer ev.finish(reg)
+	defer ev.finish()
 	r = &ExactResult{ev: ev}
 	// checkCtx aborts a canceled evaluation by panicking with a sentinel;
 	// translate it into a Canceled result here. The deferred finish above
@@ -156,6 +161,9 @@ type evaluator struct {
 	// cedges holds, per query variable, its compiled outgoing edges, so the
 	// hot recursion reads plain struct fields instead of hashing pointers.
 	cedges [][]cedge
+
+	// reg receives the counters finish flushes.
+	reg *obs.Registry
 
 	// sc is the pooled dense scratch; nil between an Exact return and a
 	// later materialization call (which re-acquires it).
@@ -256,26 +264,26 @@ func (ev *evaluator) acquire() {
 }
 
 // finish releases the scratch back to the index pool and flushes the
-// locally accumulated counters.
-func (ev *evaluator) finish(reg *obs.Registry) {
+// locally accumulated counters into ev.reg.
+func (ev *evaluator) finish() {
 	if ev.sc != nil {
 		ev.ix.releaseScratch(ev.sc)
 		ev.sc = nil
 	}
 	if ev.memoHits > 0 {
-		reg.Counter("eval.exact.memo_hits").Add(ev.memoHits)
+		ev.reg.Counter("eval.exact.memo_hits").Add(ev.memoHits)
 		ev.memoHits = 0
 	}
 	if ev.matchHits > 0 {
-		reg.Counter("eval.exact.match_hits").Add(ev.matchHits)
+		ev.reg.Counter("eval.exact.match_hits").Add(ev.matchHits)
 		ev.matchHits = 0
 	}
 	if ev.labelScans > 0 {
-		reg.Counter("eval.exact.label_scans").Add(ev.labelScans)
+		ev.reg.Counter("eval.exact.label_scans").Add(ev.labelScans)
 		ev.labelScans = 0
 	}
 	if ev.countFast > 0 {
-		reg.Counter("eval.exact.count_shortcuts").Add(ev.countFast)
+		ev.reg.Counter("eval.exact.count_shortcuts").Add(ev.countFast)
 		ev.countFast = 0
 	}
 }
@@ -646,7 +654,7 @@ func (r *ExactResult) NestingTree(maxNodes int) (*xmltree.Tree, error) {
 	}
 	ev := r.ev
 	ev.acquire()
-	defer ev.finish(obs.Default())
+	defer ev.finish()
 	var build func(qi int, e *xmltree.Node) (*xmltree.Node, error)
 	build = func(qi int, e *xmltree.Node) (*xmltree.Node, error) {
 		if t.Size() >= maxNodes {
@@ -687,7 +695,7 @@ func (r *ExactResult) ESDGraph() *esd.Node {
 	}
 	ev := r.ev
 	ev.acquire()
-	defer ev.finish(obs.Default())
+	defer ev.finish()
 	type esdKey struct {
 		q   int
 		oid int

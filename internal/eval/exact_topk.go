@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 
-	"treesketch/internal/obs"
 	"treesketch/internal/xmltree"
 )
 
@@ -70,7 +69,7 @@ func (r *ExactResult) TopKNestingTree(limit int) (t *xmltree.Tree, info *TopKInf
 	}
 	ev := r.ev
 	ev.acquire()
-	defer ev.finish(obs.Default())
+	defer ev.finish()
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(ctxCanceled); !ok {

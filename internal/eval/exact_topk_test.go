@@ -81,12 +81,12 @@ func TestExactContextCanceled(t *testing.T) {
 
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := ExactContext(expired, ix, q)
+	res := ExactContext(expired, ix, q, nil)
 	if !res.Canceled {
 		t.Fatal("expired context did not cancel the exact evaluation")
 	}
 
-	live := ExactContext(context.Background(), ix, q)
+	live := ExactContext(context.Background(), ix, q, nil)
 	if live.Canceled || live.Empty || live.Tuples <= 0 {
 		t.Fatalf("background context result = %+v, want a live exact count", live)
 	}
@@ -94,7 +94,7 @@ func TestExactContextCanceled(t *testing.T) {
 	// Cancel after the count but before materialization: the best-first
 	// loop must stop at its boundary check with at least the root emitted.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	r2 := ExactContext(ctx2, ix, q)
+	r2 := ExactContext(ctx2, ix, q, nil)
 	if r2.Canceled {
 		t.Fatal("live evaluation reported Canceled")
 	}
@@ -160,7 +160,7 @@ func TestExactContextCanceledMidWalk(t *testing.T) {
 	}
 
 	polls := 0
-	res := ExactContext(countdownCtx{Context: context.Background(), polls: &polls}, ix, q)
+	res := ExactContext(countdownCtx{Context: context.Background(), polls: &polls}, ix, q, nil)
 	if res.Canceled || res.Empty || res.Tuples <= 0 {
 		t.Fatalf("live evaluation = %+v, want a real count", res)
 	}
@@ -170,7 +170,7 @@ func TestExactContextCanceledMidWalk(t *testing.T) {
 
 	mid := polls / 2
 	polls = 0
-	res = ExactContext(countdownCtx{Context: context.Background(), polls: &polls, limit: mid}, ix, q)
+	res = ExactContext(countdownCtx{Context: context.Background(), polls: &polls, limit: mid}, ix, q, nil)
 	if !res.Canceled {
 		t.Fatalf("context expiring at poll %d did not cancel the evaluation", mid)
 	}

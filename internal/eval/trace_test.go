@@ -27,7 +27,7 @@ func TestExactContextRecordsTrace(t *testing.T) {
 
 	tr := obs.NewTrace(q.String())
 	ctx := obs.ContextWithTrace(context.Background(), tr)
-	traced := ExactContext(ctx, ix, q)
+	traced := ExactContext(ctx, ix, q, nil)
 	plain := Exact(ix, q)
 	if traced.Tuples != plain.Tuples || traced.Empty != plain.Empty {
 		t.Fatalf("traced result %v differs from untraced %v", traced, plain)
@@ -79,7 +79,7 @@ func TestUntracedContextIsFree(t *testing.T) {
 	ix := NewIndex(doc)
 	q := query.MustParse("//e")
 
-	if got, want := ExactContext(context.Background(), ix, q).Tuples, Exact(ix, q).Tuples; got != want {
+	if got, want := ExactContext(context.Background(), ix, q, nil).Tuples, Exact(ix, q).Tuples; got != want {
 		t.Errorf("exact tuples with bare context = %v, want %v", got, want)
 	}
 	a := ApproxContext(context.Background(), sk, q, Options{})

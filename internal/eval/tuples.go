@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"treesketch/internal/obs"
 	"treesketch/internal/xmltree"
 )
 
@@ -23,7 +22,7 @@ func (r *ExactResult) BindingTuples(limit int) []BindingTuple {
 	}
 	ev := r.ev
 	ev.acquire()
-	defer ev.finish(obs.Default())
+	defer ev.finish()
 	n := len(ev.qnodes)
 	var out []BindingTuple
 	cur := make(BindingTuple, n)

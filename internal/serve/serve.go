@@ -62,15 +62,6 @@ type Options struct {
 	// MaxInflight; negative means no waiting room, so saturation sheds
 	// immediately.
 	MaxQueue int
-	// InjectDelay adds an artificial service delay to every admitted
-	// request, after admission and before parsing — a latency-injection
-	// hook for load and overload testing. The open-loop bench leg uses it
-	// to emulate production-scale service times on small harness datasets,
-	// so admission-queue dynamics (slot holding, queue waits, shedding)
-	// are exercised even where the real evaluation is microseconds. 0
-	// (the production value) disables it. Shed requests never pay the
-	// delay: rejection stays fast.
-	InjectDelay time.Duration
 	// SlowTraces is the flight recorder's capacity: how many of the
 	// slowest request traces /debug/obs/slow retains. 0 means
 	// obs.DefaultFlightRecorderSize.
@@ -88,7 +79,10 @@ type Server struct {
 	deadline       time.Duration
 	maxEmb         int
 	maxResultBytes int
-	injectDelay    time.Duration
+	// injectDelay is a service floor every admitted request sleeps through
+	// before parsing; only the overload test sets it, so a queueing
+	// experiment on small test synopses has a known capacity.
+	injectDelay time.Duration
 
 	// catalog is an immutable map of the published datasets, swapped
 	// wholesale by publish, so lookups are a single atomic load.
@@ -126,7 +120,6 @@ func New(opts Options) *Server {
 		deadline:       deadline,
 		maxEmb:         opts.MaxEmbeddings,
 		maxResultBytes: opts.MaxResultBytes,
-		injectDelay:    opts.InjectDelay,
 
 		gate: newAdmissionGate(reg, opts.MaxInflight, opts.MaxQueue),
 
@@ -305,8 +298,9 @@ type EstimateResponse struct {
 // tier stack.
 type TierResponse struct {
 	// Epoch counts compactions applied to the base; Tiers is the number of
-	// delta tiers consulted; DeltaElems is the signed element delta they
-	// carry relative to the base.
+	// delta tiers consulted (sealed segments plus open units, two sketch
+	// evaluations each); DeltaElems is the signed element delta they carry
+	// relative to the base.
 	Epoch      uint64 `json:"epoch"`
 	Tiers      int    `json:"tiers"`
 	DeltaElems int    `json:"delta_elems"`
@@ -616,7 +610,7 @@ func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.
 			fmt.Sprintf("dataset %q has no document index (built from a synopsis only); exact mode needs -doc", dsName))
 		return
 	}
-	res := eval.ExactContext(ctx, ix, q)
+	res := eval.ExactContext(ctx, ix, q, s.reg)
 	if res.Canceled {
 		// The evaluator stopped at the request deadline with no usable
 		// count; finishEstimate sees the expired ctx and no TopK block and

@@ -240,6 +240,29 @@ func TestExactModeHTTP(t *testing.T) {
 	}
 }
 
+// TestExactTelemetryInServerRegistry: an exact-mode request reports its
+// eval.exact.* telemetry where the rest of the request's telemetry goes,
+// the server's registry, and leaves obs.Default alone.
+func TestExactTelemetryInServerRegistry(t *testing.T) {
+	s, ts := exactTestServer(t)
+	before := obs.Default().Snapshot()
+	getEstimate(t, ts, "/estimate?dataset=tiny&mode=exact&k=4&q="+urlQueryEscape("//a/b"))
+	snap := s.Registry().Snapshot()
+	if got := snap.Counters["eval.exact.queries"]; got != 1 {
+		t.Errorf("server registry eval.exact.queries = %d, want 1", got)
+	}
+	if got := snap.Timers["eval.exact.query"].Count; got != 1 {
+		t.Errorf("server registry eval.exact.query timer count = %d, want 1", got)
+	}
+	after := obs.Default().Snapshot()
+	if got, was := after.Counters["eval.exact.queries"], before.Counters["eval.exact.queries"]; got != was {
+		t.Errorf("obs.Default eval.exact.queries moved %d -> %d", was, got)
+	}
+	if got, was := after.Timers["eval.exact.query"].Count, before.Timers["eval.exact.query"].Count; got != was {
+		t.Errorf("obs.Default eval.exact.query timer count moved %d -> %d", was, got)
+	}
+}
+
 // TestTupleOverflowHTTP is the satellite regression: a query whose exact
 // tuple count overflows float64 must come back as a structured 422 with its
 // own code — not an unstructured 500, and not a JSON-encoder failure from
@@ -343,10 +366,10 @@ func TestExactModeDeadline503(t *testing.T) {
 	if n := s.Registry().Snapshot().Counters["serve.http.deadline_exceeded"]; n != 1 {
 		t.Errorf("serve.http.deadline_exceeded = %d, want 1", n)
 	}
-	// The evaluator-side cancellation counter lands in the process-wide
-	// default registry (ExactContext has no registry injection point).
-	if n := obs.Default().Snapshot().Counters["eval.exact.canceled"]; n < 1 {
-		t.Errorf("eval.exact.canceled = %d, want >= 1", n)
+	// The evaluator-side cancellation counter lands in the server's
+	// registry, like the rest of the request's telemetry.
+	if n := s.Registry().Snapshot().Counters["eval.exact.canceled"]; n != 1 {
+		t.Errorf("eval.exact.canceled = %d, want 1", n)
 	}
 }
 

@@ -476,11 +476,7 @@ func (s *Stack) publishLocked() {
 	}
 	s.view.Store(v)
 	s.gDelta.Set(int64(s.deltaAbs))
-	depth := int64(1 + len(s.segments))
-	if len(s.tier0) > 0 {
-		depth++
-	}
-	s.gDepth.Set(depth)
+	s.gDepth.Set(int64(1 + len(v.tiers)))
 }
 
 // unitLocked snapshots the update numbered s.seq, of subtree src under

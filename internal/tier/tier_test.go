@@ -114,6 +114,29 @@ func TestStackDeltaEstimateExactOnChainInsert(t *testing.T) {
 	}
 }
 
+// TestTierCountsOpenUnits: every open unit is a tier of its own, which the
+// estimate evaluates, so the view, the estimate's Info and the tier.depth
+// gauge (base plus tiers) all count it.
+func TestTierCountsOpenUnits(t *testing.T) {
+	opts := testOpts()
+	opts.MinCompactElems = 1 << 30
+	st := mustStack(t, "r(a(b),a(b))", opts)
+	for i := 0; i < 3; i++ {
+		if _, err := st.Insert(st.Doc().Root.OID, xmltree.MustCompact("a(b)")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.View().Tiers(); got != 3 {
+		t.Errorf("View.Tiers() = %d after 3 unsealed inserts, want 3", got)
+	}
+	if _, _, info := st.EstimateContext(t.Context(), mustQuery(t, "//a/b"), eval.Options{}); info.Tiers != 3 {
+		t.Errorf("Info.Tiers = %d, want 3", info.Tiers)
+	}
+	if got := st.reg.Gauge("tier.depth").Value(); got != 4 {
+		t.Errorf("tier.depth = %d, want 4", got)
+	}
+}
+
 // TestStackSealing absorbs enough updates to seal many segments and
 // checks the merge policy's shape: every view conserves elements, the open
 // tier stays under the seal bound, merges keep the segment count
@@ -126,14 +149,14 @@ func TestStackSealing(t *testing.T) {
 	st := mustStack(t, "r(a(b),a(b))", opts)
 	rng := testRNG(7)
 	const ops = 200
-	maxTiers := 0
+	maxSealed := 0
 	for i := 0; i < ops; i++ {
 		randomOp(t, st, &rng)
 		v := st.View()
 		if err := v.CheckConservation(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		maxTiers = max(maxTiers, v.Tiers())
+		maxSealed = max(maxSealed, v.sealed)
 	}
 	v := st.View()
 	if v.sealed == 0 {
@@ -149,10 +172,9 @@ func TestStackSealing(t *testing.T) {
 		t.Fatal("tier.merges not incremented")
 	}
 	// Without merges the 25 seals would leave 25 segments. The merge
-	// policy never holds more than 3 of them over this many seals, so
-	// with the open tier a view has at most 4 tiers.
-	if maxTiers > 4 {
-		t.Fatalf("depth reached %d tiers over %d ops", maxTiers, ops)
+	// policy never holds more than 3 of them over this many seals.
+	if maxSealed > 3 {
+		t.Fatalf("%d sealed segments over %d ops, want at most 3", maxSealed, ops)
 	}
 	var seq uint64
 	for i, seg := range v.tiers {

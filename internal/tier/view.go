@@ -39,8 +39,8 @@ type Info struct {
 	Delta float64
 	// DeltaElems is the signed element delta the tiers carry vs the base.
 	DeltaElems int
-	// Tiers is the number of delta tiers consulted (sealed segments plus
-	// one unsealed tier when present).
+	// Tiers is the number of delta tiers consulted: the sealed segments
+	// plus the open units, each of which is its own tier.
 	Tiers int
 	// Epoch is the view's compaction epoch.
 	Epoch uint64
@@ -55,14 +55,9 @@ func (v *View) DeltaElems() int {
 	return d
 }
 
-// Tiers reports the number of delta tiers in the view.
-func (v *View) Tiers() int {
-	n := v.sealed
-	if len(v.tiers) > v.sealed {
-		n++
-	}
-	return n
-}
+// Tiers reports the number of delta tiers in the view: sealed segments
+// plus open units. An estimate evaluates two sketches per tier.
+func (v *View) Tiers() int { return len(v.tiers) }
 
 // CheckConservation verifies the view's element accounting: the published
 // live count must equal the base count plus the signed tier deltas. A

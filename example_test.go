@@ -55,11 +55,11 @@ func ExampleNewMaintainer() {
 	// A new record arrives; the summary follows incrementally.
 	rec, _ := treesketch.ParseXMLString(`<a><b/><b/></a>`)
 	m.InsertSubtree(doc.Root, rec)
-	fmt.Println("classes after insert:", m.Synopsis().NumNodes())
+	fmt.Println("classes after insert:", m.CanonicalSynopsis().NumNodes())
 
 	// And the old record is retired.
 	m.DeleteSubtree(doc.Root.Children[0])
-	fmt.Println("classes after delete:", m.Synopsis().NumNodes())
+	fmt.Println("classes after delete:", m.CanonicalSynopsis().NumNodes())
 	// Output:
 	// classes after insert: 4
 	// classes after delete: 3

@@ -22,7 +22,8 @@ import (
 // into the record.
 func benchUpdate(res *Result, r *exp.Runner, cfg Config, ds string) error {
 	budgetKB := cfg.maxBudgetKB()
-	doc := copyTree(r.Doc(ds)) // the runner caches its documents; the stack owns this copy
+	doc := xmltree.NewTree()
+	doc.Root = doc.CopySubtree(r.Doc(ds).Root) // the runner caches its documents; the stack owns this copy
 	st, err := tier.New(doc, tier.Options{
 		BudgetBytes: budgetKB * 1024,
 		// The one compaction is the explicit one below.
@@ -67,7 +68,9 @@ func benchUpdate(res *Result, r *exp.Runner, cfg Config, ds string) error {
 	um["update_mre_pct"] = 100 * errSum / float64(len(w))
 
 	st.Compact()
-	finalOracle := tier.CompactSketch(stable.Build(copyTree(st.Doc())), budgetKB*1024, 0, obs.NewRegistry())
+	fresh := xmltree.NewTree()
+	fresh.Root = fresh.CopySubtree(st.Doc().Root)
+	finalOracle := tier.CompactSketch(stable.Build(fresh), budgetKB*1024, 0, obs.NewRegistry())
 	if got, want := st.View().Base.Fingerprint(), finalOracle.Fingerprint(); got != want {
 		return fmt.Errorf("bench: %s: post-compaction base fingerprint %016x != rebuild oracle %016x", ds, got, want)
 	}
@@ -132,7 +135,7 @@ func nextUpdateOp(st *tier.Stack, rng *updateRNG) error {
 			src = src.Children[int(rng.next()%uint64(len(src.Children)))]
 		}
 		proto := xmltree.NewTree()
-		proto.Root = cloneNode(proto, src)
+		proto.Root = proto.CopySubtree(src)
 		parent := live[int(rng.next()%uint64(len(live)))]
 		_, err := st.Insert(parent.OID, proto)
 		return err
@@ -161,20 +164,4 @@ func subtreeSize(n *xmltree.Node, cap int) int {
 		total += subtreeSize(c, cap-total)
 	}
 	return total
-}
-
-// cloneNode deep-copies src into t.
-func cloneNode(t *xmltree.Tree, src *xmltree.Node) *xmltree.Node {
-	n := t.NewNode(src.Label)
-	for _, c := range src.Children {
-		n.Children = append(n.Children, cloneNode(t, c))
-	}
-	return n
-}
-
-// copyTree deep-copies a whole document.
-func copyTree(src *xmltree.Tree) *xmltree.Tree {
-	t := xmltree.NewTree()
-	t.Root = cloneNode(t, src.Root)
-	return t
 }

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"treesketch/internal/tier"
+	"treesketch/internal/xmltree"
 )
 
 func TestBenchUpdateLeg(t *testing.T) {
@@ -86,7 +88,8 @@ func TestBenchNegativeLeg(t *testing.T) {
 
 // TestDeterminismIncludesUpdateCells: the record's update fingerprint is
 // the compacted view of the seeded script, whatever the compaction's worker
-// count: a replay with one TSBuild worker gives the same fingerprint.
+// count: a replay under GOMAXPROCS=1, which gives TSBuild one worker, gives
+// the same fingerprint.
 func TestDeterminismIncludesUpdateCells(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.BudgetsKB = []int{4}
@@ -95,10 +98,11 @@ func TestDeterminismIncludesUpdateCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(cfg)
-	st, err := tier.New(copyTree(r.Doc("XMark-TX")), tier.Options{
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	doc := xmltree.NewTree()
+	doc.Root = doc.CopySubtree(newRunner(cfg).Doc("XMark-TX").Root)
+	st, err := tier.New(doc, tier.Options{
 		BudgetBytes:     4 * 1024,
-		Workers:         1,
 		MinCompactElems: 1 << 30,
 		Synchronous:     true,
 	})
@@ -110,6 +114,6 @@ func TestDeterminismIncludesUpdateCells(t *testing.T) {
 	}
 	st.Compact()
 	if got, want := res.Fingerprints["update/XMark-TX"], fingerprint(st.View().Fingerprint()); got != want {
-		t.Fatalf("recorded update fingerprint %s, Workers=1 replay %s", got, want)
+		t.Fatalf("recorded update fingerprint %s, GOMAXPROCS=1 replay %s", got, want)
 	}
 }

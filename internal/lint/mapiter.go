@@ -7,9 +7,10 @@ import (
 )
 
 // MapIterAnalyzer flags `range` statements over maps in the
-// determinism-critical packages (tsbuild, sketch, eval, tier). Go randomizes map
-// iteration order, so any map range that feeds floats, slices, heaps, or
-// fingerprints in those packages is a latent nondeterminism bug.
+// determinism-critical packages (stable, tsbuild, sketch, eval, tier). Go
+// randomizes map iteration order, so any map range that feeds floats,
+// slices, heaps, or fingerprints in those packages is a latent
+// nondeterminism bug.
 //
 // Two escape hatches exist for the legitimate pattern of draining a map into
 // a slice that is subsequently sorted:
@@ -28,7 +29,7 @@ var MapIterAnalyzer = &Analyzer{
 
 func runMapIter(p *Program) []Finding {
 	var out []Finding
-	for _, pkg := range packagesNamed(p, "tsbuild", "sketch", "eval", "tier") {
+	for _, pkg := range packagesNamed(p, "stable", "tsbuild", "sketch", "eval", "tier") {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -8,10 +8,11 @@ import (
 )
 
 // NonDetAnalyzer forbids nondeterminism sources in functions reachable from
-// the two fingerprint-critical entry points: tsbuild.Build and
-// sketch.Fingerprint. The build must produce bit-identical synopses for a
-// given input and budget regardless of wall-clock time, scheduling, or the
-// global random source, so on those paths the analyzer reports:
+// the fingerprint-critical entry points in nondetRoots, among them
+// tsbuild.Build and sketch.Fingerprint. The build must produce
+// bit-identical synopses for a given input and budget regardless of
+// wall-clock time, scheduling, or the global random source, so on those
+// paths the analyzer reports:
 //
 //   - time.Now, time.Since, and time.Until calls (wall-clock reads);
 //   - package-level math/rand functions (the shared, unseeded global
@@ -41,6 +42,12 @@ var nondetRoots = [][2]string{
 	// diff its fingerprints across GOMAXPROCS), so its build path carries
 	// the same discipline.
 	{"tier", "CompactSketch"},
+	// Every fingerprint starts from the count-stable summary's class
+	// numbering: the one Build assigns and the one a live Maintainer
+	// reproduces for each compaction. Method roots are named Type.Method.
+	{"stable", "Build"},
+	{"stable", "NewMaintainer"},
+	{"stable", "Maintainer.CanonicalSynopsis"},
 }
 
 func runNonDet(p *Program) []Finding {
@@ -91,7 +98,7 @@ func runNonDet(p *Program) []Finding {
 	reachable := make(map[*types.Func]bool)
 	for obj, node := range decls {
 		for _, root := range nondetRoots {
-			if node.pkg.Name == root[0] && obj.Name() == root[1] && isPackageLevel(obj) {
+			if node.pkg.Name == root[0] && rootName(obj) == root[1] {
 				reachable[obj] = true
 				work = append(work, obj)
 			}
@@ -156,6 +163,23 @@ func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// rootName names fn the way nondetRoots does: Func for a package-level
+// function, Type.Method for a method.
+func rootName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name() + "." + fn.Name()
+	}
+	return ""
 }
 
 func isPackageLevel(fn *types.Func) bool {

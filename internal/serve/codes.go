@@ -11,7 +11,8 @@ const (
 	// Client mistakes (4xx).
 	codeMissingQuery     = "missing_query"      // no q parameter
 	codeParseError       = "parse_error"        // query text or request body does not parse
-	codeBadK             = "bad_k"              // k parameter not a positive integer
+	codeQueryTooLong     = "query_too_long"     // q parameter over maxQueryBytes
+	codeBadK             = "bad_k"              // k parameter not a non-zero integer
 	codeBadMode          = "bad_mode"           // mode parameter outside the mode enum
 	codeBadOp            = "bad_op"             // update op outside the op enum
 	codeUnknownDataset   = "unknown_dataset"    // dataset name not in the catalog

@@ -20,7 +20,7 @@ import (
 // knownCodes is every error code the handlers may answer with: the
 // registry in codes.go plus the admission shed reasons.
 var knownCodes = map[string]bool{
-	codeMissingQuery: true, codeParseError: true, codeBadK: true, codeBadMode: true,
+	codeMissingQuery: true, codeParseError: true, codeQueryTooLong: true, codeBadK: true, codeBadMode: true,
 	codeBadOp: true, codeUnknownDataset: true, codeNoExactIndex: true,
 	codeMethodNotAllowed: true, codeUpdateRejected: true, codeTupleOverflow: true,
 	codeResultTooLarge: true, codeDraining: true, codeDeadlineExceeded: true,

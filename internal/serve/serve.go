@@ -433,6 +433,14 @@ func (s *Server) resultLimit(ks string) (int, error) {
 	return capK, nil
 }
 
+// maxQueryBytes bounds /estimate query text. Parsing and evaluation
+// recurse per query edge and their memory grows with the text, so a
+// hostile query could otherwise pin a serving slot with hundreds of
+// megabytes; the longest query the workload generators emit is under
+// 1 KB. The text is refused before a trace records it or the parser
+// reads it.
+const maxQueryBytes = 8 << 10
+
 // resultNodeBytes is the approximate wire-and-heap cost of one
 // result-synopsis node (ID, variable, label, source, count, a couple of
 // edges), used to convert a byte budget into a node budget.
@@ -473,6 +481,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	qsrc := params.Get("q")
 	if qsrc == "" {
 		s.fail(w, http.StatusBadRequest, codeMissingQuery, "", "missing q parameter")
+		return
+	}
+	if len(qsrc) > maxQueryBytes {
+		s.fail(w, http.StatusBadRequest, codeQueryTooLong, "",
+			fmt.Sprintf("query is %d bytes, over the %d-byte limit", len(qsrc), maxQueryBytes))
 		return
 	}
 	tr := s.reg.NewTrace(qsrc)

@@ -118,6 +118,38 @@ func TestEstimateErrors(t *testing.T) {
 	}
 }
 
+// TestEstimateQueryLengthCap: query text one byte over maxQueryBytes is
+// refused with 400 query_too_long before a trace is made, and text at the
+// cap is answered.
+func TestEstimateQueryLengthCap(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(q string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/estimate?dataset=imdb&q=" + urlQueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, er.Code
+	}
+	atCap := "//" + strings.Repeat("a", maxQueryBytes-2)
+	if status, code := get(atCap); status != 200 {
+		t.Errorf("query at the %d-byte cap: status %d code %q, want 200", maxQueryBytes, status, code)
+	}
+	if status, code := get(atCap + "a"); status != 400 || code != codeQueryTooLong {
+		t.Errorf("query one byte over the cap: status %d code %q, want 400 %s", status, code, codeQueryTooLong)
+	}
+	if n := len(s.FlightRecorder().Slowest()); n != 1 {
+		t.Errorf("flight recorder holds %d traces, want only the answered request's", n)
+	}
+}
+
 func TestEstimateDeadline(t *testing.T) {
 	s, q := newTestServer(t, Options{Deadline: time.Nanosecond})
 	ts := httptest.NewServer(s.Handler())

@@ -3,8 +3,6 @@ package stable
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"treesketch/internal/xmltree"
 )
@@ -16,43 +14,40 @@ import (
 // static setting toward live collections; compressed TreeSketches are
 // rebuilt from the maintained summary on demand (TSBuild is fast relative
 // to re-summarizing the document).
+//
+// It starts from Build's class table and classifies through it, and keeps
+// one element table keyed by OID that resolves each live element to its
+// node, parent and class. OIDs are never reused, so the table is a map: a
+// slice indexed by OID would grow with every insert ever made.
 type Maintainer struct {
-	doc *xmltree.Tree
-
-	classByKey map[string]int
-	classOf    map[int]int // element OID -> class ID
-	parentOf   map[int]*xmltree.Node
-	member     map[*xmltree.Node]bool // identity set of document elements
-	nodes      []*Node                // may contain nils (emptied classes)
-	free       []int                  // recycled class IDs
-	rootClass  int
+	doc     *xmltree.Tree
+	classes *classTable
+	elems   map[int]elem
+	kids    []int // scratch: child classes of the element being classified
 }
 
-// NewMaintainer builds the count-stable summary of doc and the auxiliary
-// state for incremental updates. The document must not be mutated except
+// elem is one live element in the Maintainer's element table.
+type elem struct {
+	node   *xmltree.Node
+	parent *xmltree.Node // nil for the document root
+	class  int
+}
+
+// NewMaintainer builds the count-stable summary of doc and the element
+// table for incremental updates. The document must not be mutated except
 // through the Maintainer.
 func NewMaintainer(doc *xmltree.Tree) *Maintainer {
-	m := &Maintainer{
-		doc:        doc,
-		classByKey: make(map[string]int),
-		classOf:    make(map[int]int),
-		parentOf:   make(map[int]*xmltree.Node),
-		member:     make(map[*xmltree.Node]bool),
-	}
+	s, classes := build(doc)
+	m := &Maintainer{doc: doc, classes: classes, elems: make(map[int]elem, doc.Size())}
 	if doc.Root == nil {
-		m.rootClass = -1
 		return m
 	}
-	doc.PostOrder(func(e *xmltree.Node) {
-		m.classify(e)
-		m.member[e] = true
-	})
+	m.elems[doc.Root.OID] = elem{node: doc.Root, class: s.Root}
 	doc.PreOrder(func(e *xmltree.Node) {
 		for _, c := range e.Children {
-			m.parentOf[c.OID] = e
+			m.elems[c.OID] = elem{node: c, parent: e, class: s.ClassOf[c.OID]}
 		}
 	})
-	m.rootClass = m.classOf[doc.Root.OID]
 	return m
 }
 
@@ -60,104 +55,44 @@ func NewMaintainer(doc *xmltree.Tree) *Maintainer {
 func (m *Maintainer) Doc() *xmltree.Tree { return m.doc }
 
 // NumClasses reports the number of live equivalence classes.
-func (m *Maintainer) NumClasses() int {
-	n := 0
-	for _, u := range m.nodes {
-		if u != nil {
-			n++
-		}
+func (m *Maintainer) NumClasses() int { return len(m.classes.byKey) }
+
+// Node returns the live element with the given OID, or nil when no element
+// of the maintained document has it (never assigned, or deleted).
+func (m *Maintainer) Node(oid int) *xmltree.Node { return m.elems[oid].node }
+
+// Parent returns the parent element of n in the maintained document, or nil
+// when n is the document root or not part of the document.
+func (m *Maintainer) Parent(n *xmltree.Node) *xmltree.Node {
+	if x, ok := m.member(n); ok {
+		return x.parent
 	}
-	return n
+	return nil
 }
 
-// key renders the count-stable signature of an element from its label and
-// its children's current classes.
-func (m *Maintainer) key(e *xmltree.Node) string {
-	sig := make(map[int]int)
+// member returns n's entry in the element table, reporting whether n is
+// part of the maintained document: an element of another tree can carry a
+// colliding OID, so the entry must hold n itself.
+func (m *Maintainer) member(n *xmltree.Node) (elem, bool) {
+	if n == nil {
+		return elem{}, false
+	}
+	x, ok := m.elems[n.OID]
+	return x, ok && x.node == n
+}
+
+// classify puts e, a child of parent whose children are all classified,
+// into the class of its count-stable key and records it in the element
+// table. The second result reports whether a new class had to be created
+// for e's signature.
+func (m *Maintainer) classify(e, parent *xmltree.Node) (int, bool) {
+	m.kids = m.kids[:0]
 	for _, c := range e.Children {
-		sig[m.classOf[c.OID]]++
+		m.kids = append(m.kids, m.elems[c.OID].class)
 	}
-	ids := make([]int, 0, len(sig))
-	for id := range sig {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	b.WriteString(e.Label)
-	for _, id := range ids {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(id))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(sig[id]))
-	}
-	return b.String()
-}
-
-// classify assigns e to its (possibly new) class, incrementing its count;
-// children must already be classified. The second result reports whether a
-// new class had to be created for e's signature.
-func (m *Maintainer) classify(e *xmltree.Node) (int, bool) {
-	k := m.key(e)
-	id, ok := m.classByKey[k]
-	if !ok {
-		id = m.newClass(e, k)
-	}
-	m.nodes[id].Count++
-	m.classOf[e.OID] = id
-	return id, !ok
-}
-
-func (m *Maintainer) newClass(e *xmltree.Node, k string) int {
-	sig := make(map[int]int)
-	for _, c := range e.Children {
-		sig[m.classOf[c.OID]]++
-	}
-	edges := make([]Edge, 0, len(sig))
-	depth := 0
-	for id, count := range sig {
-		edges = append(edges, Edge{Child: id, K: count})
-		if d := m.nodes[id].depth + 1; d > depth {
-			depth = d
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })
-
-	var id int
-	if n := len(m.free); n > 0 {
-		id = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.nodes[id] = &Node{ID: id, Label: m.doc.Intern(e.Label), Edges: edges, depth: depth}
-	} else {
-		id = len(m.nodes)
-		m.nodes = append(m.nodes, &Node{ID: id, Label: m.doc.Intern(e.Label), Edges: edges, depth: depth})
-	}
-	m.classByKey[k] = id
-	return id
-}
-
-// unclassify removes e from its class, deleting the class when emptied.
-func (m *Maintainer) unclassify(e *xmltree.Node) {
-	id, ok := m.classOf[e.OID]
-	if !ok {
-		return
-	}
-	delete(m.classOf, e.OID)
-	u := m.nodes[id]
-	u.Count--
-	if u.Count == 0 {
-		// Reconstruct the key to drop the index entry.
-		var b strings.Builder
-		b.WriteString(u.Label)
-		for _, ed := range u.Edges {
-			b.WriteByte('|')
-			b.WriteString(strconv.Itoa(ed.Child))
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(ed.K))
-		}
-		delete(m.classByKey, b.String())
-		m.nodes[id] = nil
-		m.free = append(m.free, id)
-	}
+	id, created := m.classes.add(m.doc, e.Label, m.kids)
+	m.elems[e.OID] = elem{node: e, parent: parent, class: id}
+	return id, created
 }
 
 // InsertSubtree clones proto (an independent tree) as a new child of
@@ -168,24 +103,20 @@ func (m *Maintainer) InsertSubtree(parent *xmltree.Node, proto *xmltree.Tree) (*
 	if parent == nil || proto == nil || proto.Root == nil {
 		return nil, fmt.Errorf("stable: InsertSubtree: nil parent or empty subtree")
 	}
-	if !m.member[parent] {
+	if _, ok := m.member(parent); !ok {
 		return nil, fmt.Errorf("stable: InsertSubtree: parent %d not part of the maintained document", parent.OID)
 	}
-	var adopt func(p *xmltree.Node) *xmltree.Node
-	adopt = func(p *xmltree.Node) *xmltree.Node {
+	var adopt func(p, under *xmltree.Node) *xmltree.Node
+	adopt = func(p, under *xmltree.Node) *xmltree.Node {
 		n := m.doc.NewNode(p.Label)
 		for _, c := range p.Children {
-			cc := adopt(c)
-			n.Children = append(n.Children, cc)
-			m.parentOf[cc.OID] = n
+			n.Children = append(n.Children, adopt(c, n))
 		}
-		m.classify(n)
-		m.member[n] = true
+		m.classify(n, under)
 		return n
 	}
-	root := adopt(proto.Root)
+	root := adopt(proto.Root, parent)
 	parent.Children = append(parent.Children, root)
-	m.parentOf[root.OID] = parent
 	m.reclassifyAncestors(parent)
 	return root, nil
 }
@@ -196,10 +127,11 @@ func (m *Maintainer) DeleteSubtree(n *xmltree.Node) error {
 	if n == nil {
 		return fmt.Errorf("stable: DeleteSubtree: nil element")
 	}
-	if !m.member[n] {
+	x, ok := m.member(n)
+	if !ok {
 		return fmt.Errorf("stable: DeleteSubtree: element %d not part of the maintained document", n.OID)
 	}
-	parent := m.parentOf[n.OID]
+	parent := x.parent
 	if parent == nil {
 		return fmt.Errorf("stable: DeleteSubtree: cannot delete the document root")
 	}
@@ -221,9 +153,8 @@ func (m *Maintainer) DeleteSubtree(n *xmltree.Node) error {
 		for _, c := range e.Children {
 			drop(c)
 		}
-		m.unclassify(e)
-		delete(m.parentOf, e.OID)
-		delete(m.member, e)
+		m.classes.remove(m.elems[e.OID].class)
+		delete(m.elems, e.OID)
 		removed++
 	}
 	drop(n)
@@ -236,86 +167,18 @@ func (m *Maintainer) DeleteSubtree(n *xmltree.Node) error {
 // class matching its updated child signature. The walk can stop early once
 // an element's class is unchanged (then no ancestor signature changes
 // either) — but only when the class genuinely survived: when cur was the
-// sole member, unclassify frees its class ID and classify may recycle that
+// sole member, remove frees its class ID and classify may recycle that
 // same ID for the *changed* signature, so an ID match alone does not mean
 // the signature (or its depth) is unchanged.
 func (m *Maintainer) reclassifyAncestors(e *xmltree.Node) {
-	for cur := e; cur != nil; cur = m.parentOf[cur.OID] {
-		old := m.classOf[cur.OID]
-		m.unclassify(cur)
-		if id, created := m.classify(cur); id == old && !created {
+	for cur := e; cur != nil; {
+		x := m.elems[cur.OID]
+		m.classes.remove(x.class)
+		if id, created := m.classify(cur, x.parent); id == x.class && !created {
 			return
 		}
+		cur = x.parent
 	}
-	m.rootClass = m.classOf[m.doc.Root.OID]
-}
-
-// Synopsis materializes the current summary as a standalone, densely
-// numbered count-stable Synopsis (with ClassOf populated).
-func (m *Maintainer) Synopsis() *Synopsis {
-	s := &Synopsis{Root: -1}
-	if m.doc.Root == nil {
-		return s
-	}
-	remap := make(map[int]int)
-	for _, u := range m.nodes {
-		if u == nil || u.Count == 0 {
-			continue
-		}
-		remap[u.ID] = len(s.Nodes)
-		s.Nodes = append(s.Nodes, nil)
-	}
-	for _, u := range m.nodes {
-		if u == nil || u.Count == 0 {
-			continue
-		}
-		v := &Node{
-			ID:    remap[u.ID],
-			Label: u.Label,
-			Count: u.Count,
-			depth: u.depth,
-			Edges: make([]Edge, len(u.Edges)),
-		}
-		for i, ed := range u.Edges {
-			v.Edges[i] = Edge{Child: remap[ed.Child], K: ed.K}
-		}
-		sort.Slice(v.Edges, func(a, b int) bool { return v.Edges[a].Child < v.Edges[b].Child })
-		s.Nodes[v.ID] = v
-	}
-	// ClassOf sized to the document's OID space; OIDs of deleted elements
-	// keep -1.
-	s.ClassOf = make([]int, m.doc.Size())
-	for i := range s.ClassOf {
-		s.ClassOf[i] = -1
-	}
-	maxOID := 0
-	for oid := range m.classOf {
-		if oid > maxOID {
-			maxOID = oid
-		}
-	}
-	if maxOID >= len(s.ClassOf) {
-		grown := make([]int, maxOID+1)
-		for i := range grown {
-			grown[i] = -1
-		}
-		copy(grown, s.ClassOf)
-		s.ClassOf = grown
-	}
-	for oid, id := range m.classOf {
-		s.ClassOf[oid] = remap[id]
-	}
-	s.Root = remap[m.classOf[m.doc.Root.OID]]
-	return s
-}
-
-// Parent returns the parent element of n in the maintained document, or nil
-// when n is the document root or not part of the document.
-func (m *Maintainer) Parent(n *xmltree.Node) *xmltree.Node {
-	if n == nil {
-		return nil
-	}
-	return m.parentOf[n.OID]
 }
 
 // CanonicalSynopsis materializes the current summary with classes numbered
@@ -330,16 +193,19 @@ func (m *Maintainer) CanonicalSynopsis() *Synopsis {
 	if m.doc.Root == nil {
 		return s
 	}
-	remap := make(map[int]int, len(m.classByKey))
+	remap := make([]int, len(m.classes.nodes))
+	for i := range remap {
+		remap[i] = -1
+	}
 	s.ClassOf = make([]int, m.doc.OIDSpace())
 	for i := range s.ClassOf {
 		s.ClassOf[i] = -1
 	}
 	m.doc.PostOrder(func(e *xmltree.Node) {
-		id := m.classOf[e.OID]
-		nid, ok := remap[id]
-		if !ok {
-			u := m.nodes[id]
+		id := m.elems[e.OID].class
+		nid := remap[id]
+		if nid < 0 {
+			u := m.classes.nodes[id]
 			nid = len(s.Nodes)
 			remap[id] = nid
 			v := &Node{

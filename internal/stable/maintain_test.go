@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func identicalSynopsis(t *testing.T, got, want *Synopsis) bool {
 func TestMaintainerMatchesBuildInitially(t *testing.T) {
 	doc := xmltree.MustCompact("r(a(b,b),a(b),c)")
 	m := NewMaintainer(doc)
-	if !sameSummary(t, m.Synopsis(), Build(doc)) {
+	if !sameSummary(t, m.CanonicalSynopsis(), Build(doc)) {
 		t.Fatal("initial maintained synopsis differs from Build")
 	}
 }
@@ -117,7 +118,7 @@ func TestMaintainerInsert(t *testing.T) {
 	if err := doc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !sameSummary(t, m.Synopsis(), Build(doc)) {
+	if !sameSummary(t, m.CanonicalSynopsis(), Build(doc)) {
 		t.Fatal("maintained synopsis differs from rebuild after insert")
 	}
 }
@@ -127,7 +128,7 @@ func TestMaintainerInsertCreatesAndSharesClasses(t *testing.T) {
 	m := NewMaintainer(doc)
 	// Identical record: classes shared, counts bumped.
 	m.InsertSubtree(doc.Root, xmltree.MustCompact("a(b)"))
-	s := m.Synopsis()
+	s := m.CanonicalSynopsis()
 	byLabel := map[string]*Node{}
 	for _, n := range s.Nodes {
 		byLabel[n.Label] = n
@@ -153,7 +154,7 @@ func TestMaintainerDelete(t *testing.T) {
 	if err := doc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !sameSummary(t, m.Synopsis(), Build(doc)) {
+	if !sameSummary(t, m.CanonicalSynopsis(), Build(doc)) {
 		t.Fatal("maintained synopsis differs from rebuild after delete")
 	}
 }
@@ -192,6 +193,19 @@ func TestMaintainerDeleteDetachedRejected(t *testing.T) {
 	if err := m.DeleteSubtree(b); err == nil {
 		t.Fatal("double delete accepted")
 	}
+	// So must an element that is not the document's, even with the OID
+	// and label of a live one.
+	a := doc.Root.Children[0]
+	alien := &xmltree.Node{OID: a.OID, Label: a.Label}
+	if err := m.DeleteSubtree(alien); err == nil {
+		t.Fatal("deleted a foreign element by its colliding OID")
+	}
+	if m.Parent(alien) != nil {
+		t.Fatal("Parent resolved a foreign element by its colliding OID")
+	}
+	if got := doc.Compact(); got != "r(a)" || m.NumClasses() != 2 {
+		t.Fatalf("refused deletes changed the document or summary: %s, %d classes", got, m.NumClasses())
+	}
 }
 
 func TestMaintainerClassIDRecycling(t *testing.T) {
@@ -212,7 +226,7 @@ func TestMaintainerClassIDRecycling(t *testing.T) {
 			t.Fatalf("iteration %d: classes %d, want %d", i, got, before)
 		}
 	}
-	if !sameSummary(t, m.Synopsis(), Build(doc)) {
+	if !sameSummary(t, m.CanonicalSynopsis(), Build(doc)) {
 		t.Fatal("state corrupted by insert/delete cycles")
 	}
 }
@@ -221,7 +235,7 @@ func TestMaintainerSynopsisUsableDownstream(t *testing.T) {
 	doc := xmltree.MustCompact("r(a(b,b),a(b))")
 	m := NewMaintainer(doc)
 	m.InsertSubtree(doc.Root, xmltree.MustCompact("a(b,b,b)"))
-	s := m.Synopsis()
+	s := m.CanonicalSynopsis()
 	if err := s.Verify(doc); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -235,7 +249,7 @@ func TestMaintainerSynopsisUsableDownstream(t *testing.T) {
 }
 
 // The next two tests pin one latent failure shape from two directions: when
-// a reclassified ancestor was the sole member of its class, unclassify frees
+// a reclassified ancestor was the sole member of its class, removing it frees
 // the class ID and classify immediately recycles the same ID for the
 // *changed* signature. An ID-equality early stop in reclassifyAncestors then
 // leaves every higher ancestor with a stale depth, so the maintained summary
@@ -287,9 +301,36 @@ func TestMaintainerDeleteThenReinsertSameShape(t *testing.T) {
 	}
 }
 
+// checkElementTable checks the Maintainer's element table against its
+// document: every element reachable from the root resolves to itself
+// through Node, and Parent agrees with the tree; every deleted OID
+// resolves to nil.
+func checkElementTable(m *Maintainer, deleted []int) error {
+	var err error
+	var walk func(n, parent *xmltree.Node)
+	walk = func(n, parent *xmltree.Node) {
+		if m.Node(n.OID) != n && err == nil {
+			err = fmt.Errorf("Node(%d) does not resolve to the document's element %q", n.OID, n.Label)
+		}
+		if m.Parent(n) != parent && err == nil {
+			err = fmt.Errorf("Parent(%d) disagrees with the document", n.OID)
+		}
+		for _, c := range n.Children {
+			walk(c, n)
+		}
+	}
+	walk(m.Doc().Root, nil)
+	for _, oid := range deleted {
+		if got := m.Node(oid); got != nil && err == nil {
+			err = fmt.Errorf("deleted OID %d resolves to element %q", oid, got.Label)
+		}
+	}
+	return err
+}
+
 // TestPropMaintainerEquivalentToRebuild drives random edit scripts and
-// compares the maintained synopsis against a from-scratch Build after
-// every step.
+// checks after every step that the maintained synopsis is bit-identical to
+// a from-scratch Build and that the element table matches the document.
 func TestPropMaintainerEquivalentToRebuild(t *testing.T) {
 	protos := []string{
 		"a(b)", "a(b,b)", "a(c)", "x(y(z))", "x(y)", "c", "a(b(c),b)",
@@ -308,6 +349,7 @@ func TestPropMaintainerEquivalentToRebuild(t *testing.T) {
 			doc.PreOrder(func(n *xmltree.Node) { out = append(out, n) })
 			return out
 		}
+		var deleted []int // OIDs of every element deleted so far
 		for step := 0; step < 8; step++ {
 			els := elements()
 			if next(2) == 0 {
@@ -318,6 +360,8 @@ func TestPropMaintainerEquivalentToRebuild(t *testing.T) {
 				}
 			} else if len(els) > 1 {
 				victim := els[next(uint64(len(els)-1))+1] // never the root
+				gone := &xmltree.Tree{Root: victim}
+				gone.PreOrder(func(n *xmltree.Node) { deleted = append(deleted, n.OID) })
 				if err := m.DeleteSubtree(victim); err != nil {
 					t.Logf("seed %d step %d: delete: %v", seed, step, err)
 					return false
@@ -327,8 +371,8 @@ func TestPropMaintainerEquivalentToRebuild(t *testing.T) {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
-			if !sameSummary(t, m.Synopsis(), Build(doc)) {
-				t.Logf("seed %d step %d: summaries diverged", seed, step)
+			if err := checkElementTable(m, deleted); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 			if !identicalSynopsis(t, m.CanonicalSynopsis(), Build(doc)) {

@@ -12,9 +12,9 @@ package stable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"treesketch/internal/obs"
 	"treesketch/internal/xmltree"
@@ -60,8 +60,8 @@ type Synopsis struct {
 	Root  int
 
 	// ClassOf maps a document element OID to the ID of its equivalence
-	// class. It is populated by Build and used by tests and by baseline
-	// construction; it is nil for synopses produced other than by Build.
+	// class. It is populated by Build and CanonicalSynopsis and used by
+	// NewMaintainer and tests; it is nil for synopses produced otherwise.
 	ClassOf []int
 }
 
@@ -71,59 +71,110 @@ type Synopsis struct {
 // (child class, count) pairs; classes are deduplicated through a hash table.
 // Runs in O(|T|) time (amortized).
 func Build(t *xmltree.Tree) *Synopsis {
+	s, _ := build(t)
+	return s
+}
+
+// build is Build that also returns the class table it filled, which
+// NewMaintainer keeps current from then on.
+func build(t *xmltree.Tree) (*Synopsis, *classTable) {
+	c := &classTable{byKey: make(map[string]int)}
 	if t.Root == nil {
-		return &Synopsis{Root: -1}
+		return &Synopsis{Root: -1}, c
 	}
 	span := obs.StartSpan("stable.build")
 	s := &Synopsis{ClassOf: make([]int, t.OIDSpace())}
-	classByKey := make(map[string]int)
-	var keyBuf strings.Builder
-
+	var kids []int
 	t.PostOrder(func(e *xmltree.Node) {
-		// Gather (child class, count) signature; children already classified
-		// by virtue of post-order.
-		sig := make(map[int]int)
-		for _, c := range e.Children {
-			sig[s.ClassOf[c.OID]]++
+		// Children are already classified by virtue of post-order.
+		kids = kids[:0]
+		for _, ch := range e.Children {
+			kids = append(kids, s.ClassOf[ch.OID])
 		}
-		pairs := make([]Edge, 0, len(sig))
-		for id, k := range sig {
-			pairs = append(pairs, Edge{Child: id, K: k})
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].Child < pairs[j].Child })
-
-		keyBuf.Reset()
-		keyBuf.WriteString(e.Label)
-		for _, p := range pairs {
-			keyBuf.WriteByte('|')
-			keyBuf.WriteString(strconv.Itoa(p.Child))
-			keyBuf.WriteByte(':')
-			keyBuf.WriteString(strconv.Itoa(p.K))
-		}
-		key := keyBuf.String()
-
-		id, ok := classByKey[key]
-		if !ok {
-			id = len(s.Nodes)
-			depth := 0
-			for _, p := range pairs {
-				if d := s.Nodes[p.Child].depth + 1; d > depth {
-					depth = d
-				}
-			}
-			s.Nodes = append(s.Nodes, &Node{ID: id, Label: t.Intern(e.Label), Edges: pairs, depth: depth})
-			classByKey[key] = id
-		}
-		s.Nodes[id].Count++
-		s.ClassOf[e.OID] = id
+		s.ClassOf[e.OID], _ = c.add(t, e.Label, kids)
 	})
+	s.Nodes = c.nodes
 	s.Root = s.ClassOf[t.Root.OID]
 	span.End()
 	reg := obs.Default()
 	reg.Counter("stable.build.runs").Inc()
 	reg.Counter("stable.build.elements").Add(int64(t.Size()))
 	reg.Histogram("stable.build.classes").Observe(float64(len(s.Nodes)))
-	return s
+	return s, c
+}
+
+// classTable assigns elements to count-stable classes by key. Build runs it
+// over a whole document; a Maintainer keeps the table Build filled and
+// re-runs it on the elements an update touches.
+type classTable struct {
+	nodes []*Node        // by class ID; a Maintainer's holds nils for emptied classes
+	byKey map[string]int // class key -> class ID, for live classes only
+	free  []int          // emptied class IDs, reused before new ones
+
+	pairs []Edge // scratch: the signature being keyed
+	key   []byte // scratch: the rendered key
+}
+
+// add counts one element of t, with the given label and children in
+// classes kids (sorted in place), into the class its key names, creating
+// the class first when the key is new. It reports the class ID and whether
+// the class was created.
+func (c *classTable) add(t *xmltree.Tree, label string, kids []int) (int, bool) {
+	slices.Sort(kids)
+	c.pairs = c.pairs[:0]
+	for i, id := range kids {
+		if i > 0 && kids[i-1] == id {
+			c.pairs[len(c.pairs)-1].K++
+		} else {
+			c.pairs = append(c.pairs, Edge{Child: id, K: 1})
+		}
+	}
+	c.key = appendKey(c.key[:0], label, c.pairs)
+	id, ok := c.byKey[string(c.key)]
+	if !ok {
+		u := &Node{Label: t.Intern(label), Edges: append(make([]Edge, 0, len(c.pairs)), c.pairs...)}
+		for _, p := range c.pairs {
+			u.depth = max(u.depth, c.nodes[p.Child].depth+1)
+		}
+		if n := len(c.free); n > 0 {
+			id = c.free[n-1]
+			c.free = c.free[:n-1]
+			c.nodes[id] = u
+		} else {
+			id = len(c.nodes)
+			c.nodes = append(c.nodes, u)
+		}
+		u.ID = id
+		c.byKey[string(c.key)] = id
+	}
+	c.nodes[id].Count++
+	return id, !ok
+}
+
+// remove takes one element out of class id, dropping the class when it
+// empties.
+func (c *classTable) remove(id int) {
+	u := c.nodes[id]
+	u.Count--
+	if u.Count == 0 {
+		c.key = appendKey(c.key[:0], u.Label, u.Edges)
+		delete(c.byKey, string(c.key))
+		c.nodes[id] = nil
+		c.free = append(c.free, id)
+	}
+}
+
+// appendKey renders a class key, the label followed by the class's
+// (child class, count) pairs in child order, onto buf.
+func appendKey(buf []byte, label string, pairs []Edge) []byte {
+	buf = append(buf, label...)
+	for _, p := range pairs {
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, int64(p.Child), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(p.K), 10)
+	}
+	return buf
 }
 
 // NumNodes reports the number of classes in the synopsis.

@@ -158,7 +158,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 	// The maintained summary survived the concurrent episode intact.
 	fresh := xmltree.NewTree()
-	fresh.Root = copyInto(fresh, st.Doc().Root)
+	fresh.Root = fresh.CopySubtree(st.Doc().Root)
 	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
 	if got, want := st.View().Base.Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("post-episode base fp %016x, rebuild fp %016x", got, want)
@@ -273,7 +273,7 @@ func TestMergesWaitOutCompaction(t *testing.T) {
 		t.Fatalf("Compact left %d tiers", v.Tiers())
 	}
 	fresh := xmltree.NewTree()
-	fresh.Root = copyInto(fresh, st.Doc().Root)
+	fresh.Root = fresh.CopySubtree(st.Doc().Root)
 	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
 	if got, want := v.Base.Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("post-compaction base fp %016x, rebuild fp %016x", got, want)

@@ -58,7 +58,7 @@ func TestDifferentialUpdatesVsRebuildOracle(t *testing.T) {
 // each batch, and the exact rebuild identity after a final compaction.
 func replayDifferential(t *testing.T, r *exp.Runner, name string, budget, batches, batchOps int, op func(*Stack)) {
 	doc := xmltree.NewTree()
-	doc.Root = copyInto(doc, r.Doc(name).Root) // private copy; the runner caches its docs
+	doc.Root = doc.CopySubtree(r.Doc(name).Root) // private copy; the runner caches its docs
 	queries := query.Generate(r.Stable(name), 40, query.GenOptions{Seed: 11})
 
 	opts := Options{
@@ -114,7 +114,7 @@ func replayDifferential(t *testing.T, r *exp.Runner, name string, budget, batche
 func rebuildOracle(t *testing.T, st *Stack, budget int) *sketch.Sketch {
 	t.Helper()
 	fresh := xmltree.NewTree()
-	fresh.Root = copyInto(fresh, st.Doc().Root)
+	fresh.Root = fresh.CopySubtree(st.Doc().Root)
 	return CompactSketch(stable.Build(fresh), budget, 0, obs.NewRegistry())
 }
 

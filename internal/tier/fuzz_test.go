@@ -143,7 +143,7 @@ func FuzzTierUpdates(f *testing.F) {
 			t.Fatalf("full compaction left %d tiers", v.Tiers())
 		}
 		fresh := xmltree.NewTree()
-		fresh.Root = copyInto(fresh, st.Doc().Root)
+		fresh.Root = fresh.CopySubtree(st.Doc().Root)
 		oracle := CompactSketch(stable.Build(fresh), 4096, 0, obs.NewRegistry())
 		if got, want := v.Base.Fingerprint(), oracle.Fingerprint(); got != want {
 			t.Fatalf("compacted base fp %016x, rebuild oracle fp %016x", got, want)

@@ -35,11 +35,11 @@ func randomOp(t *testing.T, st *Stack, rng *testRNG) {
 	insert := rng.next(2) == 0 || len(els) < 16
 	if insert {
 		src := els[rng.next(len(els))]
-		for countNodes(src) > protoCap {
+		for xmltree.SubtreeSize(src) > protoCap {
 			src = src.Children[rng.next(len(src.Children))]
 		}
 		proto := xmltree.NewTree()
-		proto.Root = copyInto(proto, src)
+		proto.Root = proto.CopySubtree(src)
 		parent := els[rng.next(len(els))]
 		if _, err := st.Insert(parent.OID, proto); err != nil {
 			t.Fatalf("insert under OID %d: %v", parent.OID, err)
@@ -116,7 +116,7 @@ func (s *liveScript) step(t *testing.T, st *Stack) {
 	peers := s.byLabel[s.src[s.parent[i]].Label]
 	parent := s.live[peers[s.rng.next(len(peers))]]
 	proto := xmltree.NewTree()
-	proto.Root = copyInto(proto, s.src[i])
+	proto.Root = proto.CopySubtree(s.src[i])
 	oid, err := st.Insert(parent.OID, proto)
 	if err != nil {
 		t.Fatalf("insert under OID %d: %v", parent.OID, err)

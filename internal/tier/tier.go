@@ -47,9 +47,6 @@ type Options struct {
 	// BudgetBytes is the byte budget handed to TSBuild for the compacted
 	// base. Defaults to 8192.
 	BudgetBytes int
-	// Workers is the TSBuild worker count for compactions. 0 lets TSBuild
-	// pick GOMAXPROCS; output is bit-identical for any value.
-	Workers int
 	// CompactFraction triggers a major compaction when the absorbed delta
 	// exceeds this fraction of the base element count. Defaults to 0.10.
 	CompactFraction float64
@@ -98,7 +95,6 @@ type Stack struct {
 
 	mu        sync.Mutex
 	m         *stable.Maintainer
-	byOID     map[int]*xmltree.Node
 	seq       uint64
 	tier0     []*segment // open units, one member each
 	segments  []*segment
@@ -131,12 +127,10 @@ func New(doc *xmltree.Tree, opts Options) (*Stack, error) {
 	}
 	opts = opts.withDefaults()
 	s := &Stack{
-		opts:  opts,
-		reg:   opts.Metrics,
-		m:     stable.NewMaintainer(doc),
-		byOID: make(map[int]*xmltree.Node, doc.Size()),
+		opts: opts,
+		reg:  opts.Metrics,
+		m:    stable.NewMaintainer(doc),
 	}
-	doc.PreOrder(func(n *xmltree.Node) { s.byOID[n.OID] = n })
 	s.mAbsorbs = s.reg.Counter("tier.absorbs")
 	s.mSeals = s.reg.Counter("tier.seals")
 	s.mMerges = s.reg.Counter("tier.merges")
@@ -146,7 +140,7 @@ func New(doc *xmltree.Tree, opts Options) (*Stack, error) {
 	s.gDepth = s.reg.Gauge("tier.depth")
 	s.wCompactLat = s.reg.Windowed("tier.compaction.latency_seconds")
 
-	s.base = CompactSketch(s.m.CanonicalSynopsis(), opts.BudgetBytes, opts.Workers, s.reg)
+	s.base = CompactSketch(s.m.CanonicalSynopsis(), opts.BudgetBytes, 0, s.reg)
 	s.baseElems = doc.Size()
 	s.publishLocked() // no concurrency yet; lock not needed but harmless to reuse
 	return s, nil
@@ -169,7 +163,7 @@ func (s *Stack) Insert(parentOID int, proto *xmltree.Tree) (int, error) {
 		return 0, fmt.Errorf("tier: Insert: empty subtree")
 	}
 	s.mu.Lock()
-	parent := s.byOID[parentOID]
+	parent := s.m.Node(parentOID)
 	if parent == nil {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("tier: Insert: unknown parent OID %d", parentOID)
@@ -179,14 +173,6 @@ func (s *Stack) Insert(parentOID int, proto *xmltree.Tree) (int, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	var register func(n *xmltree.Node)
-	register = func(n *xmltree.Node) {
-		s.byOID[n.OID] = n
-		for _, c := range n.Children {
-			register(c)
-		}
-	}
-	register(root)
 	s.seq++
 	run := s.absorbLocked(s.unitLocked(+1, parent, root))
 	s.mu.Unlock()
@@ -200,7 +186,7 @@ func (s *Stack) Insert(parentOID int, proto *xmltree.Tree) (int, error) {
 // deleted.
 func (s *Stack) Delete(oid int) error {
 	s.mu.Lock()
-	victim := s.byOID[oid]
+	victim := s.m.Node(oid)
 	if victim == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("tier: Delete: unknown OID %d", oid)
@@ -217,14 +203,6 @@ func (s *Stack) Delete(oid int) error {
 		s.mu.Unlock()
 		return err
 	}
-	var deregister func(n *xmltree.Node)
-	deregister = func(n *xmltree.Node) {
-		delete(s.byOID, n.OID)
-		for _, c := range n.Children {
-			deregister(c)
-		}
-	}
-	deregister(victim)
 	run := s.absorbLocked(u)
 	s.mu.Unlock()
 	if run != nil {
@@ -435,7 +413,7 @@ func (s *Stack) runCompaction(canon *stable.Synopsis, elems int, boundary uint64
 	if d := s.opts.CompactDelay; d > 0 {
 		time.Sleep(d)
 	}
-	base := CompactSketch(canon, s.opts.BudgetBytes, s.opts.Workers, s.reg)
+	base := CompactSketch(canon, s.opts.BudgetBytes, 0, s.reg)
 	s.mu.Lock()
 	keep := s.segments[:0:0]
 	for _, seg := range s.segments {

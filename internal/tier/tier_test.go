@@ -2,6 +2,7 @@ package tier
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"treesketch/internal/eval"
@@ -217,7 +218,7 @@ func TestStackCompactionMatchesFreshStack(t *testing.T) {
 	}
 
 	fresh := xmltree.NewTree()
-	fresh.Root = copyInto(fresh, st.Doc().Root)
+	fresh.Root = fresh.CopySubtree(st.Doc().Root)
 	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
 	if got, want := v.Base.Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("compacted base fp %016x, from-scratch rebuild fp %016x", got, want)
@@ -235,31 +236,32 @@ func TestStackCompactionMatchesFreshStack(t *testing.T) {
 	}
 }
 
-// TestStackFingerprintAcrossWorkers replays one script on stacks with
-// different TSBuild worker counts: every published view must fingerprint
-// identically, which is the property the CI GOMAXPROCS diff asserts.
+// TestStackFingerprintAcrossWorkers replays one script under GOMAXPROCS 1
+// and 4, which sets the compactions' TSBuild worker count: every published
+// view must fingerprint identically, which is the property the CI
+// GOMAXPROCS diff asserts.
 func TestStackFingerprintAcrossWorkers(t *testing.T) {
-	build := func(workers int) *Stack {
+	replay := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		opts := testOpts()
 		opts.BudgetBytes = 2048
-		opts.Workers = workers
 		opts.MinCompactElems = 48 // compact eagerly so the script crosses epochs
 		opts.CompactFraction = 0.01
-		return mustStack(t, "r(a(b,b),a(b),c(d),c(d,d))", opts)
-	}
-	a, b := build(1), build(4)
-	rngA, rngB := testRNG(3), testRNG(3)
-	for i := 0; i < 30; i++ {
-		randomOp(t, a, &rngA)
-		randomOp(t, b, &rngB)
-		if fa, fb := a.View().Fingerprint(), b.View().Fingerprint(); fa != fb {
-			t.Fatalf("op %d: workers=1 fp %016x, workers=4 fp %016x", i, fa, fb)
+		st := mustStack(t, "r(a(b,b),a(b),c(d),c(d,d))", opts)
+		rng := testRNG(3)
+		var fps []uint64
+		for i := 0; i < 30; i++ {
+			randomOp(t, st, &rng)
+			fps = append(fps, st.View().Fingerprint())
 		}
+		st.Compact()
+		return append(fps, st.View().Fingerprint())
 	}
-	a.Compact()
-	b.Compact()
-	if fa, fb := a.View().Fingerprint(), b.View().Fingerprint(); fa != fb {
-		t.Fatalf("post-compaction: workers=1 fp %016x, workers=4 fp %016x", fa, fb)
+	a, b := replay(1), replay(4)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("step %d of %d (the last is post-compaction): GOMAXPROCS=1 fp %016x, GOMAXPROCS=4 fp %016x", i, len(a), a[i], b[i])
+		}
 	}
 }
 

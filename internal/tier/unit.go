@@ -49,7 +49,7 @@ type segment struct {
 // delete, the victim before detachment) and parent its parent; src is
 // deep-copied, so the unit stays valid after the document moves on.
 func newUnit(seq uint64, sign int, spineLabels []string, spineOIDs []int, parent, src *xmltree.Node) *segment {
-	sub := copyInto(xmltree.NewTree(), src)
+	sub := xmltree.NewTree().CopySubtree(src)
 	witness := false
 	for _, c := range parent.Children {
 		if c != src && c.Label == src.Label {
@@ -60,7 +60,7 @@ func newUnit(seq uint64, sign int, spineLabels []string, spineOIDs []int, parent
 	return newSegment([]member{{
 		seq:         seq,
 		sign:        sign,
-		elems:       countNodes(sub),
+		elems:       xmltree.SubtreeSize(sub),
 		spineLabels: spineLabels,
 		spineOIDs:   spineOIDs,
 		sub:         sub,
@@ -116,32 +116,12 @@ func newSegment(members []member) *segment {
 			pb.Children = append(pb.Children, before.NewNode(k.label))
 		}
 		if m.sign > 0 {
-			pa.Children = append(pa.Children, copyInto(after, m.sub))
+			pa.Children = append(pa.Children, after.CopySubtree(m.sub))
 		} else {
-			pb.Children = append(pb.Children, copyInto(before, m.sub))
+			pb.Children = append(pb.Children, before.CopySubtree(m.sub))
 		}
 	}
 	seg.after = sketch.FromStable(stable.Build(after))
 	seg.before = sketch.FromStable(stable.Build(before))
 	return seg
-}
-
-// copyInto deep-copies the subtree rooted at src into t and returns the
-// copy's root (not yet attached to anything).
-func copyInto(t *xmltree.Tree, src *xmltree.Node) *xmltree.Node {
-	n := t.NewNode(src.Label)
-	//lint:ctxpoll subtree size is bounded by the serve layer's request-body cap
-	for _, c := range src.Children {
-		n.Children = append(n.Children, copyInto(t, c))
-	}
-	return n
-}
-
-func countNodes(n *xmltree.Node) int {
-	total := 1
-	//lint:ctxpoll subtree size is bounded by the serve layer's request-body cap
-	for _, c := range n.Children {
-		total += countNodes(c)
-	}
-	return total
 }

@@ -173,6 +173,17 @@ func SubtreeSize(n *Node) int {
 	return size
 }
 
+// CopySubtree deep-copies the subtree rooted at src, which may belong to any
+// tree, into t with fresh OIDs and returns the copy's root, not yet attached
+// to anything.
+func (t *Tree) CopySubtree(src *Node) *Node {
+	n := t.NewNode(src.Label)
+	for _, c := range src.Children {
+		n.Children = append(n.Children, t.CopySubtree(c))
+	}
+	return n
+}
+
 // Depth returns the "depth" of a node as defined by the paper's CreatePool
 // heuristic (Section 4.2): 0 for a leaf, otherwise 1 + the maximum depth of
 // its children. Intuitively, the longest path from the node down to a leaf.

@@ -108,6 +108,22 @@ func TestSubtreeSizeAndDepth(t *testing.T) {
 	}
 }
 
+func TestCopySubtree(t *testing.T) {
+	src := MustCompact("r(a(b,c),d)")
+	dst := MustCompact("x")
+	cp := dst.CopySubtree(src.Root.Children[0])
+	if got := (&Tree{Root: cp}).Compact(); got != "a(b,c)" {
+		t.Fatalf("copy = %s, want a(b,c)", got)
+	}
+	if cp.OID != 1 || cp.Children[1].OID != 3 || dst.Size() != 4 {
+		t.Fatalf("copy OIDs %d..%d, tree size %d; want fresh OIDs 1..3 and size 4", cp.OID, cp.Children[1].OID, dst.Size())
+	}
+	cp.Children = nil
+	if len(src.Root.Children[0].Children) != 2 {
+		t.Fatal("editing the copy changed the source")
+	}
+}
+
 func TestLabels(t *testing.T) {
 	tr := MustCompact("r(b(a),a,c(a,b))")
 	got := tr.Labels()

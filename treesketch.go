@@ -111,9 +111,10 @@ func BuildFromStable(st *StableSummary, opts BuildOptions) (*Synopsis, BuildStat
 }
 
 // NewMaintainer prepares doc for incremental summary maintenance: after
-// InsertSubtree / DeleteSubtree updates, Maintainer.Synopsis() returns the
-// up-to-date count-stable summary without re-summarizing the document, and
-// BuildFromStable compresses it to any budget.
+// InsertSubtree / DeleteSubtree updates, Maintainer.CanonicalSynopsis()
+// returns the up-to-date count-stable summary, numbered as BuildStable would
+// number it, without re-summarizing the document, and BuildFromStable
+// compresses it to any budget.
 func NewMaintainer(doc *Document) *Maintainer { return stable.NewMaintainer(doc) }
 
 // ParseQuery parses a twig query, e.g. "//a[//b]{//p{//k?},//n?}" (the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -62,7 +63,7 @@ func benchUpdate(res *Result, r *exp.Runner, cfg Config, ds string) error {
 	sanity := quantile10(truths)
 	var errSum float64
 	for i, item := range w {
-		_, got, _ := v.Estimate(item.Q, eval.Options{})
+		_, got, _ := v.CountContext(context.Background(), item.Q, eval.Options{})
 		errSum += eval.RelativeError(truths[i], got, sanity)
 	}
 	um["update_mre_pct"] = 100 * errSum / float64(len(w))

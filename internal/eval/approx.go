@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math"
+	"slices"
 
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
@@ -74,22 +75,51 @@ func ApproxContext(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts 
 	return newApproxer(ctx, sk, q, opts).eval(ctx)
 }
 
+// CountResult is the answer of a count-only evaluation: the Section 4.4
+// selectivity of the result synopsis TS_Q and its size, without TS_Q.
+type CountResult struct {
+	// Selectivity equals the batch Result's Selectivity() bit for bit.
+	Selectivity float64
+	// Nodes is the number of result-synopsis nodes, len(Result.Nodes).
+	Nodes int
+	// Empty, Truncated and Canceled are the batch Result's flags.
+	Empty, Truncated, Canceled bool
+}
+
+// Count is the count-only evaluation: the batch path of Approx up to the
+// finished answer graph (grow, prune, conditioning), then the Section 4.4
+// pass directly over the evaluator's working memory, so neither the extent
+// counts nor the answer synopsis are built. Options.Limit is ignored: a
+// count is always the batch answer.
+func Count(sk *sketch.Sketch, q *query.Query, opts Options) CountResult {
+	return CountContext(context.Background(), sk, q, opts)
+}
+
+// CountContext is Count with ApproxContext's cancellation and telemetry:
+// it reports the same eval.approx.* metrics, spans and trace counters as
+// the batch path. Once the scratch pool is warm it allocates nothing.
+func CountContext(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options) CountResult {
+	_, c := newApproxer(ctx, sk, q, opts).batch(ctx, false)
+	return c
+}
+
 // newApproxer builds the evaluation state shared by the batch and the
 // streaming top-k paths, recording the plan phase (query-variable
-// numbering) as a span on the request trace. Its working memory is a
-// pooled approxScratch, which the path that runs the evaluation (batch or
-// topK) gives back after flushing its counters.
+// numbering) as a span on the request trace. The approxer lives in a
+// pooled approxScratch, with the evaluation's working memory; the path
+// that runs the evaluation (batch or topK) gives the scratch back last,
+// after which neither the approxer nor the scratch may be read.
 func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Options) *approxer {
 	reg := obs.Or(opts.Metrics)
 	tr := obs.TraceFrom(ctx)
 	ps := tr.StartSpan("eval.plan")
 	sc := takeScratch(q, len(sk.Nodes))
-	a := &approxer{
+	a := &sc.a
+	*a = approxer{
 		tr:           tr,
 		sk:           sk,
 		q:            q,
 		sc:           sc,
-		optional:     make([]bool, len(sc.qnodes)),
 		opts:         opts.withDefaults(),
 		conditioning: !opts.PaperMode,
 		reg:          reg,
@@ -99,21 +129,14 @@ func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Op
 		mSelMisses:   reg.Counter("eval.approx.selmemo.misses"),
 		hFanout:      reg.Histogram("eval.approx.fanout"),
 	}
-	for qi, qn := range sc.qnodes {
-		for j, e := range qn.Edges {
-			if e.Optional {
-				a.optional[sc.child(qi, j)] = true
-			}
-		}
-	}
 	ps.End()
 	return a
 }
 
-// release gives the scratch back to the pool once the evaluation is over.
+// release gives the scratch, and with it the approxer itself, back to the
+// pool once the evaluation is over.
 func (a *approxer) release() {
 	a.sc.release()
-	a.sc = nil
 }
 
 // eval runs the batch evaluation, or the streaming top-k one (topk.go) when
@@ -122,14 +145,17 @@ func (a *approxer) eval(ctx context.Context) *Result {
 	if a.opts.Limit != 0 {
 		return a.topK(ctx)
 	}
-	return a.batch(ctx)
+	res, _ := a.batch(ctx, true)
+	return res
 }
 
 // batch is the all-or-nothing evaluation path: a half-built memo phase is
 // not a usable synopsis, so the enumeration polls ctx under the tickCtx
 // work budget and aborts via the ctxCanceled panic sentinel, translated
-// here into a Canceled result.
-func (a *approxer) batch(ctx context.Context) (res *Result) {
+// here into a Canceled answer. With materialize it returns the answer
+// synopsis, otherwise only the count, whose Selectivity it then fills; the
+// count's size and flags are set either way.
+func (a *approxer) batch(ctx context.Context, materialize bool) (res *Result, c CountResult) {
 	a.ctx = ctx
 	span := a.reg.StartSpan("eval.approx.query")
 	a.reg.Counter("eval.approx.queries").Inc()
@@ -138,12 +164,15 @@ func (a *approxer) batch(ctx context.Context) (res *Result) {
 			if _, ok := p.(ctxCanceled); !ok {
 				panic(p)
 			}
-			res = &Result{Canceled: true}
+			c = CountResult{Canceled: true}
+			if materialize {
+				res = &Result{Canceled: true}
+			}
 			a.reg.Counter("eval.approx.canceled").Inc()
 		}
 		// Canceled runs record the time they burned before aborting.
 		span.End()
-		a.flush(res)
+		a.flush(c.Nodes, c.Empty, c.Truncated)
 		a.release()
 	}()
 	// The embedding search plus selectivity memoization is the trace's
@@ -153,14 +182,24 @@ func (a *approxer) batch(ctx context.Context) (res *Result) {
 	a.grow(a.edgeTerms)
 	ms.End()
 	es := a.tr.StartSpan("eval.emit")
-	res = a.finish(true)
+	found := a.finish(true)
+	c = CountResult{Empty: !found, Truncated: a.truncated}
+	if found {
+		c.Nodes = len(a.sc.nodes)
+	}
+	if materialize {
+		res = a.answer(found)
+	} else if found {
+		c.Selectivity = a.selectivity()
+	}
 	es.End()
-	return res
+	return res, c
 }
 
 // flush drains the locally accumulated counters into the registry and the
-// request trace once the result is final.
-func (a *approxer) flush(res *Result) {
+// request trace once the answer is final: it has the given number of
+// result nodes and flags.
+func (a *approxer) flush(nodes int, empty, truncated bool) {
 	reg, tr := a.reg, a.tr
 	if a.prunes > 0 {
 		reg.Counter("eval.approx.embed_prunes").Add(a.prunes)
@@ -171,18 +210,18 @@ func (a *approxer) flush(res *Result) {
 	if tr != nil {
 		tr.AddCounter("approx_embed_prunes", a.prunes)
 		tr.AddCounter("approx_embed_memo_hits", a.canHits)
-		tr.AddCounter("approx_result_nodes", int64(len(res.Nodes)))
-		if res.Truncated {
+		tr.AddCounter("approx_result_nodes", int64(nodes))
+		if truncated {
 			tr.AddCounter("approx_truncated", 1)
 		}
 	}
-	if res.Empty {
+	if empty {
 		reg.Counter("eval.approx.empty").Inc()
 	}
-	if res.Truncated {
+	if truncated {
 		reg.Counter("eval.approx.truncated").Inc()
 	}
-	reg.Histogram("eval.approx.result_nodes").Observe(float64(len(res.Nodes)))
+	reg.Histogram("eval.approx.result_nodes").Observe(float64(nodes))
 	// Per-query-node fanout: how many synopsis result classes each query
 	// variable bound. The spread of this distribution is what drives
 	// embedding-enumeration cost.
@@ -204,12 +243,8 @@ type approxer struct {
 
 	sk   *sketch.Sketch
 	q    *query.Query
-	sc   *approxScratch // the evaluation's working memory (scratch.go)
+	sc   *approxScratch // the evaluation's working memory, which holds this approxer (scratch.go)
 	opts Options
-
-	// optional marks, per variable, whether it is bound through a dashed
-	// edge. It becomes the answer's Result.VarOptional.
-	optional []bool
 
 	// conditioning selects conditionOnRequired, on unless PaperMode; the
 	// test suite also switches it off alone. noPrune and ref are test-only
@@ -314,35 +349,50 @@ func (a *approxer) addResultNode(src, qi int) int {
 	return int(id)
 }
 
-// finish shapes the grown graph into the answer synopsis: the empty answer
-// of Figure 7 line 15 when a required variable has no bindings anywhere
-// (checked only when searched, i.e. the whole graph was explored), then
-// pruning, conditioning and the extent counts.
-func (a *approxer) finish(searched bool) *Result {
+// finish shapes the grown graph into the answer graph: it reports the
+// empty answer of Figure 7 line 15 when a required variable has no
+// bindings anywhere (checked only when searched, i.e. the whole graph was
+// explored) or pruning drops the root, and otherwise prunes and conditions
+// the graph and reports true.
+func (a *approxer) finish(searched bool) bool {
 	sc := a.sc
 	if searched {
 		for qi, qn := range sc.qnodes {
 			for j, edge := range qn.Edges {
 				if !edge.Optional && len(sc.bind[sc.child(qi, j)]) == 0 {
-					return &Result{Empty: true, Truncated: a.truncated}
+					return false
 				}
 			}
 		}
 	}
 	if !a.noPrune {
 		if !a.prune() {
-			return &Result{Empty: true, Truncated: a.truncated}
+			return false
 		}
 		if a.conditioning {
 			a.conditionOnRequired()
 		}
 	}
-	a.computeCounts()
+	return true
+}
+
+// answer is the answer synopsis of a finished graph: the empty answer when
+// finish found none, else the graph materialized by result.
+func (a *approxer) answer(found bool) *Result {
+	if !found {
+		return &Result{Empty: true, Truncated: a.truncated}
+	}
 	return a.result()
 }
 
 // result materializes the working graph as the answer synopsis, sized
-// once: one array of nodes, one of node pointers, and one of edges.
+// once: one array of nodes, one of node pointers, and one of edges. It
+// also derives the estimated extent sizes, Count(root) = 1 and Count(v) =
+// sum over incoming edges of Count(u) * k(u, v): grow creates every node of
+// a variable before any node of its child variables, and prune keeps that
+// order, so a pass in node order has settled every node's count before it
+// reaches the node's outgoing edges, and adds each node's incoming terms
+// in its parents' creation order.
 func (a *approxer) result() *Result {
 	sc := a.sc
 	ne := 0
@@ -352,22 +402,30 @@ func (a *approxer) result() *Result {
 	nodes := make([]RNode, len(sc.nodes))
 	ptrs := make([]*RNode, len(sc.nodes))
 	edges := make([]REdge, ne)
+	nodes[0].Count = 1
 	for i, nd := range sc.nodes {
 		rn := &nodes[i]
-		*rn = RNode{
-			ID:    i,
-			Var:   sc.qnodes[nd.qi].Var,
-			VarID: int(nd.qi),
-			Label: a.sk.Nodes[nd.src].Label,
-			Src:   int(nd.src),
-			Count: nd.count,
-		}
+		rn.ID, rn.Var, rn.VarID = i, sc.qnodes[nd.qi].Var, int(nd.qi)
+		rn.Label, rn.Src = a.sk.Nodes[nd.src].Label, int(nd.src)
 		if m := copy(edges, sc.edges[nd.lo:nd.hi]); m > 0 {
 			rn.Edges, edges = edges[:m:m], edges[m:]
 		}
+		for _, e := range rn.Edges {
+			nodes[e.Child].Count += rn.Count * e.K
+		}
 		ptrs[i] = rn
 	}
-	return &Result{Nodes: ptrs, Root: 0, Truncated: a.truncated, VarOptional: a.optional}
+	return &Result{Nodes: ptrs, Root: 0, Truncated: a.truncated, VarOptional: slices.Clone(sc.optional)}
+}
+
+// selectivity is the Section 4.4 estimate of the finished graph, read
+// straight from the working memory: Result.Selectivity's pass, fed by the
+// scratch instead of a materialized answer.
+func (a *approxer) selectivity() float64 {
+	sc := a.sc
+	nv := len(sc.qnodes)
+	return selectivity(sc, 0, sc.optional, resize(&sc.tuples, len(sc.nodes)),
+		resize(&sc.varSum, nv), resize(&sc.varSeen, nv), resize(&sc.vars, nv))
 }
 
 // conditionOnRequired refines the result counts for required (solid) child
@@ -407,7 +465,7 @@ func (a *approxer) conditionOnRequired() {
 		qn := sc.qnodes[nd.qi]
 		run := sc.edges[nd.lo:nd.hi]
 		for _, e := range run {
-			if cv := sc.nodes[e.Child].qi; !a.optional[cv] {
+			if cv := sc.nodes[e.Child].qi; !sc.optional[cv] {
 				state[cv] = 1
 				sum[cv] += e.K
 			}
@@ -526,22 +584,6 @@ func (a *approxer) prune() bool {
 		nd.hi = w
 	}
 	return true
-}
-
-// computeCounts derives estimated extent sizes: Count(root) = 1 and
-// Count(v) = sum over incoming edges of Count(u) * k(u, v). grow creates
-// every node of a variable before any node of its child variables, and
-// prune keeps that order, so a pass in node order sees every node's
-// incoming edges before its outgoing ones, and adds each node's incoming
-// terms in its parents' creation order.
-func (a *approxer) computeCounts() {
-	sc := a.sc
-	sc.nodes[0].count = 1
-	for _, nd := range sc.nodes {
-		for _, e := range sc.edges[nd.lo:nd.hi] {
-			sc.nodes[e.Child].count += nd.count * e.K
-		}
-	}
 }
 
 // termK is one terminal synopsis node of an edge enumeration with its

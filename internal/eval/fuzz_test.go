@@ -22,7 +22,8 @@ func fuzzSketch() *sketch.Sketch {
 
 // FuzzEvalApprox feeds arbitrary parser-accepted twigs to both approximate
 // evaluation paths and asserts the invariants that must hold for any query
-// against any synopsis: no panics, estimates finite and non-negative, and
+// against any synopsis: no panics, estimates finite and non-negative, the
+// count-only evaluation equal to the batch answer it skips building, and
 // the fast path bit-identical to the reference enumeration whenever
 // neither truncated.
 func FuzzEvalApprox(f *testing.F) {
@@ -53,6 +54,9 @@ func FuzzEvalApprox(f *testing.F) {
 					t.Fatalf("%s: query %q: node count %v not finite non-negative", name, q, rn.Count)
 				}
 			}
+		}
+		if c, want := Count(sk, q, Options{MaxEmbeddings: 200}), countOfResult(fast); !sameCount(c, want) {
+			t.Fatalf("query %q: count-only %+v, batch %+v", q, c, want)
 		}
 		if fast.Truncated || ref.Truncated {
 			return

@@ -107,68 +107,98 @@ func (r *Result) Fingerprint() uint64 {
 }
 
 // Selectivity estimates the number of binding tuples of the query
-// (Section 4.4): a single bottom-up pass computes, per result node, the
-// average number of binding tuples per element of its extent; the estimate
-// is the value at the root.
+// (Section 4.4); see selectivity. A count-only evaluation (Count) computes
+// the same value without materializing the Result.
 func (r *Result) Selectivity() float64 {
 	if r.Empty || len(r.Nodes) == 0 {
 		return 0
 	}
-	// Group each node's edges by child variable. A node's
-	// tuples-per-element is the product over child variables of the summed
-	// k * tuples(child). An absent variable contributes factor 1 (for
-	// required variables the pruning pass already removed nodes missing
-	// them); an optional variable's factor is clamped to at least 1, since
-	// elements without matches still contribute a NULL binding.
 	nv := 0
 	for _, rn := range r.Nodes {
 		nv = max(nv, rn.VarID+1)
 	}
-	memo := make([]float64, len(r.Nodes)+nv)
-	perVar := memo[len(r.Nodes):] // the node at hand's per-variable sums
-	memo = memo[:len(r.Nodes)]
+	n := len(r.Nodes)
+	buf := make([]float64, n+nv)
+	return selectivity(r, r.Root, r.VarOptional, buf[:n], buf[n:], make([]bool, nv), make([]int32, nv))
+}
+
+func (r *Result) varOf(id int) int { return r.Nodes[id].VarID }
+
+func (r *Result) edgesOf(id int) []REdge { return r.Nodes[id].Edges }
+
+// tupleGraph is what the Section 4.4 pass reads of a result synopsis: per
+// node, its query variable and its outgoing edges. A materialized Result
+// provides it, and so does the evaluator's working graph, which a
+// count-only evaluation reads without materializing it.
+type tupleGraph interface {
+	varOf(id int) int
+	edgesOf(id int) []REdge
+}
+
+// selectivity is the Section 4.4 estimate: a single bottom-up pass over g
+// computes, per result node, the average number of binding tuples per
+// element of its extent; the estimate is the value at root. optional marks
+// the variables bound through a dashed edge. memo holds one slot per node,
+// and perVar, seen and vars one per query variable, perVar and seen zeroed.
+func selectivity(g tupleGraph, root int, optional []bool, memo, perVar []float64, seen []bool, vars []int32) float64 {
 	for i := range memo {
 		memo[i] = -1
 	}
-	seen := make([]bool, nv)
-	var vars []int
-	var tuples func(id int) float64
-	tuples = func(id int) float64 {
-		if memo[id] >= 0 {
-			return memo[id]
-		}
-		memo[id] = 0 // cycle guard; result graphs are DAGs
-		rn := r.Nodes[id]
-		for _, e := range rn.Edges {
-			tuples(e.Child)
-		}
-		// The children are settled, so no recursion runs below: perVar,
-		// seen and vars belong to this node until it returns.
-		vars = vars[:0]
-		for _, e := range rn.Edges {
-			v := r.Nodes[e.Child].VarID
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-			perVar[v] += e.K * memo[e.Child]
-		}
-		// The per-variable factors multiply into a float in ascending
-		// variable order.
-		slices.Sort(vars)
-		total := 1.0
-		for _, v := range vars {
-			s := perVar[v]
-			perVar[v], seen[v] = 0, false
-			if v < len(r.VarOptional) && r.VarOptional[v] && s < 1 {
-				s = 1
-			}
-			total *= s
-		}
-		memo[id] = total
-		return total
+	p := tuplePass{g: g, optional: optional, memo: memo, perVar: perVar, seen: seen, vars: vars[:0]}
+	return p.tuples(root)
+}
+
+// tuplePass is the state of one selectivity pass.
+type tuplePass struct {
+	g        tupleGraph
+	optional []bool
+	memo     []float64 // per node: tuples per element, -1 until settled
+	perVar   []float64 // per variable: the node at hand's summed k * tuples
+	seen     []bool    // per variable: whether the node at hand reaches it
+	vars     []int32   // the node at hand's child variables
+}
+
+// tuples settles node id. Its tuples-per-element is the product over child
+// variables of the summed k * tuples(child). An absent variable
+// contributes factor 1 (for required variables the pruning pass already
+// removed nodes missing them); an optional variable's factor is clamped to
+// at least 1, since elements without matches still contribute a NULL
+// binding.
+func (p *tuplePass) tuples(id int) float64 {
+	if p.memo[id] >= 0 {
+		return p.memo[id]
 	}
-	return tuples(r.Root)
+	p.memo[id] = 0 // cycle guard; result graphs are DAGs
+	edges := p.g.edgesOf(id)
+	//lint:ctxpoll memoized: the pass follows each result edge once, and the evaluation that built the edge charged it
+	for _, e := range edges {
+		p.tuples(e.Child)
+	}
+	// The children are settled, so no recursion runs below: perVar, seen
+	// and vars belong to this node until it returns.
+	vars := p.vars[:0]
+	for _, e := range edges {
+		v := p.g.varOf(e.Child)
+		if !p.seen[v] {
+			p.seen[v] = true
+			vars = append(vars, int32(v))
+		}
+		p.perVar[v] += e.K * p.memo[e.Child]
+	}
+	// The per-variable factors multiply into a float in ascending
+	// variable order.
+	slices.Sort(vars)
+	total := 1.0
+	for _, v := range vars {
+		s := p.perVar[v]
+		p.perVar[v], p.seen[v] = 0, false
+		if int(v) < len(p.optional) && p.optional[v] && s < 1 {
+			s = 1
+		}
+		total *= s
+	}
+	p.memo[id] = total
+	return total
 }
 
 // esdExpandCap bounds the materialized approximate nesting tree used for

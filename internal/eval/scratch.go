@@ -19,19 +19,26 @@ const scratchCapBytes = 160 << 10
 var scratchPool = sync.Pool{New: func() any { return new(approxScratch) }}
 
 // approxScratch is the per-evaluation working memory of the approximate
-// evaluator. newApproxer takes one from scratchPool and the evaluation
-// returns it after flush; in between it belongs to exactly one approxer.
-// release resets every field before pooling, so an idle scratch pins no
-// sketch or query and a canceled evaluation's half-open state never
-// reaches the next one.
+// evaluator, and the evaluator itself. newApproxer takes one from
+// scratchPool and the evaluation returns it after flush; in between it
+// belongs to exactly one evaluation. release resets every field before
+// pooling, so an idle scratch pins no sketch, query, context or registry,
+// and a canceled evaluation's half-open state never reaches the next one.
 type approxScratch struct {
+	// The evaluation this scratch serves (approx.go); newApproxer fills it
+	// and reset zeroes it.
+	a approxer
+
 	// Query plan: the variables in pre-order; for the j-th edge of
-	// variable qi, its child variable childVar[edgeLo[qi]+j]; and per
-	// variable whether some edge of it is solid (required).
+	// variable qi, its child variable childVar[edgeLo[qi]+j]; per variable
+	// whether some edge of it is solid (required), and whether it is bound
+	// through a dashed (optional) edge, which the answer reports as
+	// Result.VarOptional.
 	qnodes   []*query.Node
 	edgeLo   []int32
 	childVar []int32
 	solid    []bool
+	optional []bool
 
 	// Enumeration state (enumFast): the dedup path-ID stack, the landing
 	// node of each placed step, and the path trie.
@@ -70,12 +77,18 @@ type approxScratch struct {
 	bind     [][]int32
 	resIndex map[resKey]int32
 
-	// finish's buffers.
+	// finish's buffers, and the count-only Section 4.4 pass's (selectivity
+	// in result.go): its per-node memo, and per variable the node at hand's
+	// sums (varSum, which conditionOnRequired uses the same way), marks and
+	// list.
 	keep     []bool
 	remap    []int32
 	factor   []float64
 	varSum   []float64
 	varState []int8
+	tuples   []float64
+	varSeen  []bool
+	vars     []int32
 }
 
 // embRec is one distinct node path of a path expression's enumeration: its
@@ -88,12 +101,10 @@ type embRec struct {
 }
 
 // wnode is a result node under construction: the (synopsis node, query
-// variable) pair it stands for, its outgoing edges edges[lo:hi], and its
-// extent count once computeCounts has run.
+// variable) pair it stands for and its outgoing edges edges[lo:hi].
 type wnode struct {
 	src, qi int32
 	lo, hi  int32
-	count   float64
 }
 
 // takeScratch fetches a scratch and prepares it for evaluating q over a
@@ -101,7 +112,7 @@ type wnode struct {
 func takeScratch(q *query.Query, n int) *approxScratch {
 	sc := scratchPool.Get().(*approxScratch)
 	if q.Root != nil {
-		sc.addVar(q.Root)
+		sc.addVar(q.Root, false)
 	}
 	for len(sc.bind) < len(sc.qnodes) {
 		sc.bind = append(sc.bind, nil)
@@ -122,11 +133,13 @@ func takeScratch(q *query.Query, n int) *approxScratch {
 	return sc
 }
 
-// addVar appends n and its subtree to the plan in pre-order, the numbering
-// q.Vars uses. A child variable is numbered when its edge is visited, so
-// the children of one variable carry increasing indices in edge order.
-func (sc *approxScratch) addVar(n *query.Node) {
+// addVar appends n, bound through an optional edge or not, and its subtree
+// to the plan in pre-order, the numbering q.Vars uses. A child variable is
+// numbered when its edge is visited, so the children of one variable carry
+// increasing indices in edge order.
+func (sc *approxScratch) addVar(n *query.Node, optional bool) {
 	sc.qnodes = append(sc.qnodes, n)
+	sc.optional = append(sc.optional, optional)
 	lo := len(sc.childVar)
 	sc.edgeLo = append(sc.edgeLo, int32(lo))
 	solid := false
@@ -138,7 +151,7 @@ func (sc *approxScratch) addVar(n *query.Node) {
 	//lint:ctxpoll the plan visits each query variable once, linear in the query's size
 	for j, e := range n.Edges {
 		sc.childVar[lo+j] = int32(len(sc.qnodes))
-		sc.addVar(e.Child)
+		sc.addVar(e.Child, e.Optional)
 	}
 }
 
@@ -158,13 +171,15 @@ func (sc *approxScratch) release() {
 }
 
 // reset empties every field for the next evaluation and clears every
-// pointer into a sketch or query. A canceled evaluation stops wherever its
-// last poll was, possibly with an accumulation open, so the touched
-// terminal sums and the existence sum are zeroed here too. The trie needs
-// nothing: each enumeration starts it afresh.
+// pointer into a sketch, query, context or registry. A canceled evaluation
+// stops wherever its last poll was, possibly with an accumulation open, so
+// the touched terminal sums and the existence sum are zeroed here too. The
+// trie needs nothing: each enumeration starts it afresh.
 func (sc *approxScratch) reset() {
+	sc.a = approxer{}
 	clear(sc.qnodes)
-	sc.qnodes, sc.edgeLo, sc.childVar, sc.solid = sc.qnodes[:0], sc.edgeLo[:0], sc.childVar[:0], sc.solid[:0]
+	sc.qnodes, sc.edgeLo, sc.childVar = sc.qnodes[:0], sc.edgeLo[:0], sc.childVar[:0]
+	sc.solid, sc.optional = sc.solid[:0], sc.optional[:0]
 	sc.idStack, sc.landing = sc.idStack[:0], sc.landing[:0]
 	sc.recs, sc.rows = sc.recs[:0], sc.rows[:0]
 	for _, v := range sc.touched {
@@ -181,6 +196,7 @@ func (sc *approxScratch) reset() {
 	clear(sc.resIndex)
 	sc.keep, sc.remap, sc.factor = sc.keep[:0], sc.remap[:0], sc.factor[:0]
 	sc.varSum, sc.varState = sc.varSum[:0], sc.varState[:0]
+	sc.tuples, sc.varSeen, sc.vars = sc.tuples[:0], sc.varSeen[:0], sc.vars[:0]
 }
 
 // bytes estimates the memory sc holds: every buffer's backing array, and
@@ -189,13 +205,14 @@ func (sc *approxScratch) reset() {
 // says, but never larger than one that passed the cap when its evaluation
 // released the scratch.
 func (sc *approxScratch) bytes() int {
-	n := capBytes(sc.qnodes) + capBytes(sc.edgeLo) + capBytes(sc.childVar) + capBytes(sc.solid) +
+	n := capBytes(sc.qnodes) + capBytes(sc.edgeLo) + capBytes(sc.childVar) + capBytes(sc.solid) + capBytes(sc.optional) +
 		capBytes(sc.idStack) + capBytes(sc.landing) + sc.trie.bytes() +
 		capBytes(sc.recs) + capBytes(sc.rows) +
 		capBytes(sc.termSum) + capBytes(sc.termSeen) + capBytes(sc.touched) + capBytes(sc.terms) +
 		mapBytes(sc.selMemo) + mapBytes(sc.canTabs) + capBytes(sc.canArena) +
 		capBytes(sc.nodes) + capBytes(sc.edges) + capBytes(sc.bind) + mapBytes(sc.resIndex) +
-		capBytes(sc.keep) + capBytes(sc.remap) + capBytes(sc.factor) + capBytes(sc.varSum) + capBytes(sc.varState)
+		capBytes(sc.keep) + capBytes(sc.remap) + capBytes(sc.factor) + capBytes(sc.varSum) + capBytes(sc.varState) +
+		capBytes(sc.tuples) + capBytes(sc.varSeen) + capBytes(sc.vars)
 	for _, b := range sc.bind {
 		n += capBytes(b)
 	}
@@ -265,6 +282,15 @@ func (sc *approxScratch) drainTerms() []termK {
 	}
 	sc.touched = sc.touched[:0]
 	return sc.terms
+}
+
+// varOf and edgesOf present the working graph to the Section 4.4 pass
+// (tupleGraph in result.go).
+func (sc *approxScratch) varOf(id int) int { return int(sc.nodes[id].qi) }
+
+func (sc *approxScratch) edgesOf(id int) []REdge {
+	nd := &sc.nodes[id]
+	return sc.edges[nd.lo:nd.hi]
 }
 
 // resize returns *buf resliced to n zeroed elements, reallocating it only

@@ -153,15 +153,20 @@ func scratchFields(sc *approxScratch) []scratchField {
 	v := reflect.ValueOf(sc).Elem()
 	var out []scratchField
 	for i := range v.NumField() {
-		f := v.Field(i)
-		out = append(out, scratchField{v.Type().Field(i).Name, reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()})
+		out = append(out, scratchField{v.Type().Field(i).Name, settable(v.Field(i))})
 	}
 	return out
 }
 
+// settable returns f, unexported or not, as a settable value.
+func settable(f reflect.Value) reflect.Value {
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
 // fillField makes f non-empty: a slice gets four elements (pointers point
-// somewhere, inner slices get four elements too), a map one entry, and a
-// number a non-zero value.
+// somewhere, inner slices get four elements too), a map one entry, a
+// pointer a fresh target, a bool or number a non-zero value, and a struct
+// has each of its fields filled so.
 func fillField(f reflect.Value) {
 	switch f.Kind() {
 	case reflect.Slice:
@@ -179,7 +184,15 @@ func fillField(f reflect.Value) {
 		m := reflect.MakeMap(f.Type())
 		m.SetMapIndex(reflect.Zero(f.Type().Key()), reflect.Zero(f.Type().Elem()))
 		f.Set(m)
-	case reflect.Int:
+	case reflect.Pointer:
+		f.Set(reflect.New(f.Type().Elem()))
+	case reflect.Struct:
+		for i := range f.NumField() {
+			fillField(settable(f.Field(i)))
+		}
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int, reflect.Int64:
 		f.SetInt(7)
 	case reflect.Float64:
 		f.SetFloat(0.5)
@@ -190,13 +203,18 @@ func fillField(f reflect.Value) {
 // pool empty, whatever state its evaluation stopped in: with every field
 // filled and an accumulation open, as a canceled walk can leave them,
 // reset must leave every buffer empty with no pointer in its backing
-// array, the dense per-terminal sums all zero, every map empty and every
-// number zero. A field added to the scratch but not to reset fails here.
+// array, the dense per-terminal sums all zero, every map empty, every
+// number zero, and the approxer it holds zero, so a pooled scratch pins no
+// context, sketch or registry. A field added to the scratch but not to
+// reset fails here.
 func TestScratchResetLeavesNothingBehind(t *testing.T) {
 	sc := new(approxScratch)
 	fields := scratchFields(sc)
 	for _, f := range fields {
 		fillField(f.v)
+	}
+	if reflect.ValueOf(sc.a).IsZero() {
+		t.Fatal("fillField left the approxer zero; the check below would pass vacuously")
 	}
 	sc.termSum, sc.termSeen, sc.touched = make([]float64, 8), make([]bool, 8), nil
 	sc.addTerm(5, 1.5)
@@ -215,6 +233,10 @@ func TestScratchResetLeavesNothingBehind(t *testing.T) {
 				if !v.Index(i).IsZero() {
 					t.Errorf("%s[%d] = %v after reset, want zero", f.name, i, v.Index(i))
 				}
+			}
+		case f.name == "a":
+			if !v.IsZero() {
+				t.Errorf("the approxer holds state after reset: %+v", sc.a)
 			}
 		case f.name == "bind":
 			for i := range v.Len() {

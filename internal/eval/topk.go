@@ -65,8 +65,7 @@ func (a *approxer) topK(ctx context.Context) *Result {
 	a.reg.Counter("eval.topk.queries").Inc()
 	res := a.runTopK(ctx)
 	span.End()
-	a.flush(res)
-	a.release()
+	a.flush(len(res.Nodes), res.Empty, res.Truncated)
 	info := res.TopK
 	a.reg.Counter("eval.topk.expanded").Add(int64(info.Expanded))
 	a.reg.Counter("eval.topk.discovered").Add(int64(info.Discovered))
@@ -90,6 +89,9 @@ func (a *approxer) topK(ctx context.Context) *Result {
 			a.tr.AddCounter("topk_deadline_hit", 1)
 		}
 	}
+	// Last: the approxer lives in the scratch, which another evaluation
+	// may take the moment it is released.
+	a.release()
 	return res
 }
 
@@ -311,12 +313,12 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 	// The known-empty shortcut (a required variable with no bindings
 	// anywhere) is sound only when the whole graph was searched; a partial
 	// expansion may simply not have reached the variable yet.
-	return a.finish(info.Exhausted)
+	return a.answer(a.finish(info.Exhausted))
 }
 
 // rawCounts computes the unconditioned, unpruned extent counts of the
 // current result graph: Count(root) = 1, Count(v) = sum over incoming edges
-// of Count(u) * k(u, v), accumulated in the same node order computeCounts
+// of Count(u) * k(u, v), accumulated in the same node order result
 // uses.
 func (a *approxer) rawCounts() []float64 {
 	sc := a.sc

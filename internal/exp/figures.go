@@ -104,7 +104,7 @@ func (r *Runner) Figure12(name string) Curve {
 			if item.Empty {
 				return [2]float64{}
 			}
-			tsEst := eval.Approx(ts, item.Q, eval.Options{}).Selectivity()
+			tsEst := eval.Count(ts, item.Q, eval.Options{}).Selectivity
 			xsEst := xs.Estimate(item.Q, xsketch.EstOptions{})
 			tsErr := eval.RelativeError(item.Truth, tsEst, sanity)
 			hSel.Observe(tsErr)
@@ -151,7 +151,7 @@ func (r *Runner) Figure13() []Curve {
 				if item.Empty {
 					return [2]float64{}
 				}
-				est := eval.Approx(ts, item.Q, eval.Options{}).Selectivity()
+				est := eval.Count(ts, item.Q, eval.Options{}).Selectivity
 				err := eval.RelativeError(item.Truth, est, sanity)
 				hSel.Observe(err)
 				return [2]float64{err, 0}

@@ -44,8 +44,8 @@ func (r *Runner) RefinementAblation(budgetKB int) []RefinementRow {
 			if item.Empty {
 				return [2]float64{math.NaN(), math.NaN()}
 			}
-			refined := eval.Approx(ts, item.Q, eval.Options{}).Selectivity()
-			paper := eval.Approx(ts, item.Q, eval.Options{PaperMode: true}).Selectivity()
+			refined := eval.Count(ts, item.Q, eval.Options{}).Selectivity
+			paper := eval.Count(ts, item.Q, eval.Options{PaperMode: true}).Selectivity
 			return [2]float64{
 				eval.RelativeError(item.Truth, refined, sanity),
 				eval.RelativeError(item.Truth, paper, sanity),

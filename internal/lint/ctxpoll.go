@@ -16,8 +16,8 @@ import (
 // It builds the intra-module call graph (function values and interface
 // dispatch are not followed; edges into package obs are cut as the
 // telemetry boundary) and computes the closure reachable from the serving
-// entry points: eval.ExactContext, eval.ApproxContext, and the serve
-// handler methods (handle*). Within that closure, restricted to the
+// entry points: eval.ExactContext, eval.ApproxContext, eval.CountContext,
+// and the serve handler methods (handle*). Within that closure, restricted to the
 // serving packages (serve, eval, tier), it reports every for/range loop
 // whose per-iteration work is unbounded — the body calls a module function
 // that (transitively) loops — unless the iteration polls:
@@ -49,6 +49,7 @@ var CtxPollAnalyzer = &Analyzer{
 var ctxpollRoots = [][2]string{
 	{"eval", "ExactContext"},
 	{"eval", "ApproxContext"},
+	{"eval", "CountContext"},
 }
 
 // ctxpollPackages is the report scope: packages whose loops serve

@@ -55,6 +55,16 @@ func ExactContext(ctx context.Context, h *obs.Histogram, sks []*sketch) int {
 	return total
 }
 
+// CountContext is a serving root of its own: nothing in the fixture calls
+// it, so only its registration as a root reaches its unpolled sweep.
+func CountContext(ctx context.Context, sks []*sketch) int {
+	total := 0
+	for _, sk := range sks { /* want "unbounded per-iteration work without polling ctx" */
+		total += scanAll(sk)
+	}
+	return total
+}
+
 // unpolledWalk is the transitive case: not itself a root, but reachable
 // from one, looping over unbounded scans with no poll anywhere.
 func (ev *evaluator) unpolledWalk(sks []*sketch) int {

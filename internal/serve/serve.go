@@ -450,12 +450,16 @@ const resultNodeBytes = 64
 // [&k=<node budget>][&mode=approx|exact]: it admits the request through the
 // admission gate, parses the query, evaluates it over the named synopsis
 // (or, for mode=exact, the dataset's document index) under the request
-// deadline, and reports the selectivity estimate. With a node budget — an
-// explicit ?k= or the server-wide MaxResultBytes default — evaluation
-// streams the result best-first and the response reports coverage plus a
-// bound on the truncated remainder. The request runs under an obs.Trace
-// whose admission/parse/plan/memo/emit phase breakdown lands in the flight
-// recorder when the request ranks among the slowest.
+// deadline, and reports the selectivity estimate. Without a node budget
+// the approximate answer is counted (eval.CountContext, or the stack's
+// CountContext on a live dataset): the response carries only the
+// selectivity and the result synopsis' size, so the synopsis is never
+// built. With one — an explicit ?k= or the server-wide MaxResultBytes
+// default — evaluation streams the result best-first and the response
+// reports coverage plus a bound on the truncated remainder. The request
+// runs under an obs.Trace whose admission/parse/plan/memo/emit phase
+// breakdown lands in the flight recorder when the request ranks among the
+// slowest.
 //
 // Overload is handled before work is done: a draining server, a full
 // admission queue, or a queue wait that exhausts the deadline budget all
@@ -547,20 +551,27 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Without a node budget the answer is the selectivity and the result
+	// synopsis' size, so the evaluation counts instead of materializing
+	// the synopsis; a budgeted one streams it (eval.Options.Limit).
+	opts := eval.Options{MaxEmbeddings: s.maxEmb, Limit: limit, Metrics: s.reg}
 	var (
-		res      *eval.Result
+		c        eval.CountResult // the answer's size and flags
 		sel      float64
+		topk     *eval.TopKInfo
 		tierResp *TierResponse
 	)
 	if st := d.stack; st != nil {
 		// Live dataset: answer over the stack's current immutable view
 		// (base+delta), which never blocks on an in-flight compaction.
 		var info tier.Info
-		res, sel, info = st.EstimateContext(ctx, q, eval.Options{
-			MaxEmbeddings: s.maxEmb,
-			Limit:         limit,
-			Metrics:       s.reg,
-		})
+		if limit == 0 {
+			c, sel, info = st.CountContext(ctx, q, opts)
+		} else {
+			var res *eval.Result
+			res, sel, info = st.EstimateContext(ctx, q, opts)
+			c, topk = shapeOf(res), res.TopK
+		}
 		tierResp = &TierResponse{
 			Epoch:           info.Epoch,
 			Tiers:           info.Tiers,
@@ -569,17 +580,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			Delta:           jsonSafe(info.Delta),
 			Compacting:      st.Compacting(),
 		}
+	} else if limit == 0 {
+		c = eval.CountContext(ctx, d.sk, q, opts)
+		sel = c.Selectivity
 	} else {
-		res = eval.ApproxContext(ctx, d.sk, q, eval.Options{
-			MaxEmbeddings: s.maxEmb,
-			Limit:         limit,
-			Metrics:       s.reg,
-		})
+		res := eval.ApproxContext(ctx, d.sk, q, opts)
+		c, topk = shapeOf(res), res.TopK
 		if !res.Canceled {
 			sel = res.Selectivity()
 		}
 	}
-	if res.Canceled {
+	if c.Canceled {
 		// The evaluation aborted at the request deadline with no usable
 		// synopsis; finishEstimate sees the expired ctx and no TopK block
 		// and answers the standard deadline 503 (the serveExact route for
@@ -600,17 +611,24 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Mode:        mode,
 		Query:       q.String(),
 		Selectivity: jsonSafe(sel),
-		ResultNodes: len(res.Nodes),
-		Empty:       res.Empty && sel == 0,
-		Truncated:   res.Truncated,
+		ResultNodes: c.Nodes,
+		Empty:       c.Empty && sel == 0,
+		Truncated:   c.Truncated,
 		Tier:        tierResp,
 	}
-	if res.TopK != nil {
-		resp.TopK = topKResponse(res.TopK)
-		resp.Partial = !res.TopK.Exhausted
+	if topk != nil {
+		resp.TopK = topKResponse(topk)
+		resp.Partial = !topk.Exhausted
 	}
 	es.End()
 	s.finishEstimate(w, ctx, tr, resp)
+}
+
+// shapeOf is what an answer reports of a materialized result synopsis: its
+// size and flags. Its Selectivity stays 0; on a live dataset the answer's
+// selectivity is the merged one.
+func shapeOf(res *eval.Result) eval.CountResult {
+	return eval.CountResult{Nodes: len(res.Nodes), Empty: res.Empty, Truncated: res.Truncated, Canceled: res.Canceled}
 }
 
 // serveExact answers ?mode=exact from the dataset's document index: the

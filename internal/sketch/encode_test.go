@@ -2,9 +2,11 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +44,34 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	buf.WriteString("\x00\x01\x02")
 	if _, err := Decode(&buf); err == nil {
 		t.Fatal("accepted binary garbage")
+	}
+}
+
+// TestDecodeBoundsClaimedLength pins that a hostile length prefix costs
+// only the bytes present: five bytes claiming a message of about 1 GiB,
+// alone or after a valid header message, are refused while allocating far
+// less than the 10 MB chunk gob fills before it notices the input ended.
+func TestDecodeBoundsClaimedLength(t *testing.T) {
+	claim := []byte{0xFC, 0x3F, 0xFF, 0xFF, 0xFF}
+	var header bytes.Buffer
+	if err := gob.NewEncoder(&header).Encode(fileHeader); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1 << 20
+	for name, in := range map[string][]byte{
+		"alone":        claim,
+		"after header": append(header.Bytes(), claim...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted a %d-byte input claiming a 1 GiB message", name, len(in))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s: refusing %d bytes allocated %d bytes, want at most %d", name, len(in), got, bound)
+		}
 	}
 }
 

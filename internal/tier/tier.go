@@ -217,6 +217,13 @@ func (s *Stack) EstimateContext(ctx context.Context, q *query.Query, opts eval.O
 	return s.View().EstimateContext(ctx, q, opts)
 }
 
+// CountContext answers q over the current view without materializing the
+// base's result synopsis; see View.CountContext.
+func (s *Stack) CountContext(ctx context.Context, q *query.Query, opts eval.Options) (eval.CountResult, float64, Info) {
+	s.mEstimates.Inc()
+	return s.View().CountContext(ctx, q, opts)
+}
+
 // Compact folds every delta tier absorbed before the call into the base
 // and waits for the publish; a compaction or merge already in flight is
 // waited out first (a compaction's snapshot may predate recent absorbs, so

@@ -2,9 +2,11 @@ package tier
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
+	"treesketch/internal/datagen"
 	"treesketch/internal/eval"
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
@@ -303,5 +305,64 @@ func TestStackEstimateContextCanceled(t *testing.T) {
 	res, sel, _ = st.EstimateContext(t.Context(), q, eval.Options{})
 	if res.Canceled || sel != 4 {
 		t.Fatalf("live estimate after a canceled one: canceled=%v sel=%v, want 4", res.Canceled, sel)
+	}
+}
+
+// TestViewCountMatchesEstimate pins the count-only view estimate to the
+// materializing one: after a script of random inserts and deletes has
+// left sealed segments and open units, CountContext's merged float equals
+// EstimateContext's bit for bit on every generated twig, its Info is the
+// same, and its count reports the base answer's size and flags. Both
+// stack entries count toward tier.estimates, and an expired context
+// cancels the count like the estimate.
+func TestViewCountMatchesEstimate(t *testing.T) {
+	opts := testOpts()
+	opts.BudgetBytes = 2 << 10 // merged: the base estimates are approximate
+	opts.MinCompactElems = 1 << 20
+	doc := datagen.Generate(datagen.XMark, 2000, 1)
+	st, err := New(doc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := query.Generate(stable.Build(doc), 60, query.GenOptions{Seed: 9, PredProb: 0.3})
+	rng := testRNG(3)
+	for range 45 { // five seals, then five open units
+		randomOp(t, st, &rng)
+	}
+	v := st.View()
+	if v.Tiers() < 3 {
+		t.Fatalf("%d delta tiers; the script no longer leaves a tiered view", v.Tiers())
+	}
+	moved := 0
+	for _, q := range queries {
+		res, want, wantInfo := v.EstimateContext(t.Context(), q, eval.Options{})
+		if wantInfo.Delta != 0 {
+			moved++
+		}
+		c, got, info := v.CountContext(t.Context(), q, eval.Options{})
+		if math.Float64bits(got) != math.Float64bits(want) || info != wantInfo {
+			t.Fatalf("%s: count %v %+v, estimate %v %+v", q, got, info, want, wantInfo)
+		}
+		if c.Nodes != len(res.Nodes) || c.Empty != res.Empty || c.Truncated != res.Truncated || c.Canceled || res.Canceled ||
+			math.Float64bits(c.Selectivity) != math.Float64bits(res.Selectivity()) {
+			t.Fatalf("%s: base count %+v does not describe the base result (%d nodes, empty %v, truncated %v)",
+				q, c, len(res.Nodes), res.Empty, res.Truncated)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no twig's estimate moved with the delta tiers; the merge went unchecked")
+	}
+
+	before := opts.Metrics.Counter("tier.estimates").Value()
+	st.EstimateContext(t.Context(), queries[0], eval.Options{})
+	st.CountContext(t.Context(), queries[0], eval.Options{})
+	if got := opts.Metrics.Counter("tier.estimates").Value() - before; got != 2 {
+		t.Fatalf("tier.estimates rose by %d over one estimate and one count, want 2", got)
+	}
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c, sel, _ := st.CountContext(expired, queries[0], eval.Options{}); !c.Canceled || sel != 0 {
+		t.Fatalf("expired context: count %+v, merged %v; want Canceled and 0", c, sel)
 	}
 }

@@ -74,50 +74,72 @@ func (v *View) CheckConservation() error {
 // base evaluation (its result synopsis drives answer shapes and top-k);
 // the float is the merged selectivity: the base estimate plus each tier's
 // est(after) - est(before), clamped at zero. opts applies to the base
-// evaluation; delta sketches are tiny and always evaluated in batch mode.
+// evaluation; delta sketches are tiny and always counted in batch mode.
 func (v *View) EstimateContext(ctx context.Context, q *query.Query, opts eval.Options) (*eval.Result, float64, Info) {
 	res := eval.ApproxContext(ctx, v.Base, q, opts)
 	if res.Canceled {
 		// The base evaluation aborted at the deadline: there is no synopsis
 		// to merge deltas into, so skip the tier sweeps entirely and let the
 		// caller route the cancellation.
-		return res, 0, Info{DeltaElems: v.DeltaElems(), Tiers: v.Tiers(), Epoch: v.Epoch}
+		return res, 0, v.info()
 	}
-	info := Info{
-		BaseSelectivity: res.Selectivity(),
-		DeltaElems:      v.DeltaElems(),
-		Tiers:           v.Tiers(),
-		Epoch:           v.Epoch,
+	merged, info, ok := v.merge(ctx, q, opts, res.Selectivity())
+	res.Canceled = !ok
+	return res, merged, info
+}
+
+// CountContext is EstimateContext for callers that need only the merged
+// selectivity: the base is counted (eval.CountContext) instead of
+// materialized, and Options.Limit is ignored. The float equals
+// EstimateContext's bit for bit; the count carries the base answer's size
+// and flags.
+func (v *View) CountContext(ctx context.Context, q *query.Query, opts eval.Options) (eval.CountResult, float64, Info) {
+	c := eval.CountContext(ctx, v.Base, q, opts)
+	if c.Canceled {
+		return c, 0, v.info()
 	}
+	merged, info, ok := v.merge(ctx, q, opts, c.Selectivity)
+	c.Canceled = !ok
+	return c, merged, info
+}
+
+// info is the view's part of an estimate's Info.
+func (v *View) info() Info {
+	return Info{DeltaElems: v.DeltaElems(), Tiers: v.Tiers(), Epoch: v.Epoch}
+}
+
+// merge adds the delta tiers' corrections to the base estimate base: each
+// tier contributes est(after) - est(before), each estimate a count-only
+// batch evaluation. It reports false when one of them was canceled, so
+// the whole estimate must be: a base answer missing its deltas would
+// silently misreport a live dataset.
+func (v *View) merge(ctx context.Context, q *query.Query, opts eval.Options, base float64) (float64, Info, bool) {
+	info := v.info()
+	info.BaseSelectivity = base
 	dopts := eval.Options{MaxEmbeddings: opts.MaxEmbeddings, Metrics: opts.Metrics}
 	canceled := false
 	sel := func(sk *sketch.Sketch) float64 {
 		if sk == nil || canceled {
 			return 0
 		}
-		dres := eval.ApproxContext(ctx, sk, q, dopts)
-		if dres.Canceled {
-			// A canceled delta sweep poisons the merge: short-circuit the
-			// remaining sketches (each would just re-observe the same expired
-			// ctx) and cancel the whole estimate — a base answer missing its
-			// deltas would silently misreport a live dataset.
-			canceled = true
-			return 0
-		}
-		return dres.Selectivity()
+		c := eval.CountContext(ctx, sk, q, dopts)
+		// A canceled delta sweep poisons the merge: short-circuit the
+		// remaining sketches, each of which would just re-observe the same
+		// expired ctx.
+		canceled = c.Canceled
+		return c.Selectivity
 	}
 	for _, seg := range v.tiers {
 		info.Delta += sel(seg.after) - sel(seg.before)
 	}
 	if canceled {
-		res.Canceled = true
-		return res, 0, info
+		return 0, info, false
 	}
 	merged := info.BaseSelectivity + info.Delta
 	if merged < 0 {
 		merged = 0
 	}
-	return res, merged, info
+	return merged, info, true
 }
 
 // Estimate is EstimateContext without request-scoped telemetry.

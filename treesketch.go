@@ -143,9 +143,10 @@ func EvaluateApprox(s *Synopsis, q *Query, opts EvalOptions) *ApproxResult {
 }
 
 // EstimateSelectivity is a convenience wrapper: the estimated number of
-// binding tuples of q over the synopsis (Section 4.4).
+// binding tuples of q over the synopsis (Section 4.4), counted without
+// building the result synopsis.
 func EstimateSelectivity(s *Synopsis, q *Query) float64 {
-	return eval.Approx(s, q, eval.Options{}).Selectivity()
+	return eval.Count(s, q, eval.Options{}).Selectivity
 }
 
 // ESD computes the Element Simulation Distance (Section 5) between two

@@ -12,8 +12,10 @@
 //
 // Build from a document at startup (live by default: the dataset accepts
 // POST /update and answers estimates over a tiered base+delta synopsis with
-// non-blocking background compaction; -live=false serves a frozen snapshot
-// with ?mode=exact support instead):
+// non-blocking background compaction; -live=false serves a frozen
+// snapshot instead). Either way ?mode=exact answers true counts from the
+// document's count-stable summary; synopsis-only datasets have no
+// document and refuse it:
 //
 //	tsserve -doc xmark.xml -budget 20
 //
@@ -57,7 +59,7 @@ func main() {
 		synopses = flag.String("synopsis", "", "comma-separated synopsis files to serve, each 'name=path' or a bare path (dataset name derived from the filename)")
 		docs     = flag.String("doc", "", "comma-separated XML documents to build synopses from at startup, each 'name=path' or a bare path")
 		budgetKB = flag.Int("budget", 50, "synopsis budget in KB when building from -doc")
-		live     = flag.Bool("live", true, "serve -doc datasets as live tier stacks (POST /update, base+delta estimates, background compaction); false freezes them at startup and enables ?mode=exact")
+		live     = flag.Bool("live", true, "serve -doc datasets as live tier stacks (POST /update, base+delta estimates, background compaction); false freezes them at startup; ?mode=exact works either way")
 		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request processing deadline (<=0 disables)")
 		maxEmb   = flag.Int("max-embeddings", 0, "cap on embedding enumeration per query (0: eval default)")
 		maxResB  = flag.Int("max-result-bytes", 0, "per-request answer budget in bytes, served via streaming top-k emission with a truncation bound (0: unbudgeted; ?k= on a request overrides)")
@@ -104,10 +106,9 @@ func main() {
 		}
 		if *live {
 			// Live dataset: the tier stack owns the document from here on
-			// (all mutation goes through POST /update) and estimates answer
-			// over its base+delta view. No eval.Index is published — an
-			// index over a mutating document would go stale, so ?mode=exact
-			// answers a structured 404 for live datasets.
+			// (all mutation goes through POST /update); approximate
+			// estimates answer over its base+delta view and exact ones over
+			// the summary its maintainer keeps.
 			stk, err := tier.New(doc, tier.Options{
 				BudgetBytes: *budgetKB << 10,
 				Metrics:     srv.Registry(),
@@ -123,8 +124,9 @@ func main() {
 		st := stable.Build(doc)
 		sk, stats := tsbuild.Build(st, tsbuild.Options{BudgetBytes: *budgetKB << 10})
 		srv.AddSketch(name, sk)
-		// Frozen doc-built datasets keep their index so /estimate?mode=exact
-		// can answer true counts; synopsis-only datasets have no document.
+		// Frozen doc-built datasets keep their document, whose summary the
+		// first /estimate?mode=exact builds; synopsis-only datasets have no
+		// document.
 		srv.AddIndex(name, eval.NewIndex(doc))
 		fmt.Printf("tsserve: built %s from %s: %d elems -> %.1f KB in %.2fs (exact mode on)\n",
 			name, path, doc.Size(), float64(stats.FinalBytes)/1024, stats.Elapsed.Seconds())

@@ -13,6 +13,25 @@ import (
 	"treesketch/internal/xmltree"
 )
 
+// countdownCtx is a deterministic stand-in for a deadline: Err() reports
+// DeadlineExceeded from its limit-th poll on (0 = never), counting every
+// poll either way. It makes mid-walk cancellation reproducible — a real
+// timer either fires too early (before the walk starts) or too late
+// (after a warm evaluation finishes) depending on machine speed.
+type countdownCtx struct {
+	context.Context
+	polls *int
+	limit int
+}
+
+func (c countdownCtx) Err() error {
+	*c.polls++
+	if c.limit > 0 && *c.polls >= c.limit {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // TestApproxContextCanceled pins the batch approximate evaluator's
 // cancellation contract (the ctxpoll analyzer's subject): an expired
 // context stops the enumeration with a bare Canceled result and a counter

@@ -3,10 +3,9 @@ package eval
 import "context"
 
 // ctxCanceled is the panic sentinel tickCtx throws when an evaluation's
-// context expires; the evaluation entry points (ExactContext,
-// TopKNestingTree, the batch approximate path) recover it at their
-// boundary. A panic (rather than threading error returns through the
-// memoized recursions) keeps the hot recursive signatures — and their
+// context expires; the batch approximate path (approxer.batch) recovers it
+// at its boundary. A panic (rather than threading error returns through
+// the memoized recursions) keeps the hot recursive signatures — and their
 // inlining — untouched.
 type ctxCanceled struct{}
 
@@ -17,7 +16,8 @@ type ctxCanceled struct{}
 // query run arbitrarily far past its deadline between checks.
 const ctxCheckEvery = 1024
 
-// ctxPoll is the cancellation ticker both evaluators embed. ctx is the
+// ctxPoll is the cancellation ticker the approximate evaluator embeds; it
+// serves both estimate modes, which differ only in the synopsis. ctx is the
 // evaluation's cancellation signal; a nil ctx leaves every poll a single
 // predictable branch, so batch callers and benchmarks pay nothing and see
 // identical floats (polls compute nothing). tick accumulates the work
@@ -54,13 +54,4 @@ func (p *ctxPoll) tickCtx(n int) {
 // entry points call it so even scan-free query shapes keep polling.
 func (p *ctxPoll) checkCtx() {
 	p.tickCtx(1)
-}
-
-// ctxErr reports the context's status without the panic, for
-// loop-boundary checks that stop gracefully with partial output.
-func (p *ctxPoll) ctxErr() error {
-	if p.ctx == nil {
-		return nil
-	}
-	return p.ctx.Err()
 }

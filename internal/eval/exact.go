@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -23,11 +22,6 @@ type ExactResult struct {
 	// of fanouts exceeded ~1.8e308); Tuples is then +Inf and Err returns a
 	// typed *TupleOverflowError.
 	Overflow bool
-	// Canceled marks that the evaluation stopped at the context deadline
-	// (or cancellation) before finishing; Tuples and Empty are then
-	// meaningless and the result must not be materialized. Only
-	// ExactContext callers with a cancelable context can observe it.
-	Canceled bool
 
 	ev *evaluator
 }
@@ -58,65 +52,30 @@ func (r *ExactResult) Err() error {
 // edge of that variable has at least one valid binding beneath it; dashed
 // edges (from the query's return clause) may be empty.
 //
+// Exact is the batch ground-truth oracle the tests, tsbench, tsexp and
+// perfbench score estimates against; it walks the document and is never
+// on a serving path, so it takes no context. It reports the eval.exact.*
+// metrics, of this call and of the result's materialization methods, to
+// obs.Default.
+//
 // The returned ExactResult (and its NestingTree / ESDGraph / BindingTuples
 // methods) is not safe for concurrent use; distinct Exact calls on the same
 // Index are.
 func Exact(ix *Index, q *query.Query) *ExactResult {
-	return ExactContext(context.Background(), ix, q, nil)
-}
-
-// ExactContext is Exact with request-scoped telemetry and cancellation:
-// when ctx carries an obs.Trace (obs.ContextWithTrace), the evaluation
-// records its plan and memo phases as spans on that trace, and a ctx that
-// expires mid-evaluation stops the match/validity recursion at the next
-// periodic check (returning a result marked Canceled) instead of running
-// the document to completion — so a serving deadline actually frees the
-// evaluator. An untraced background context adds one context lookup and a
-// counter increment per memoized call and nothing else — the phase spans
-// are inert and read no clocks — so the hot path is unchanged for batch
-// callers and float accumulation (hence fingerprints) is untouched.
-//
-// reg receives the eval.exact.* counters and the eval.exact.query span, of
-// this call and of the result's materialization methods; nil selects
-// obs.Default.
-func ExactContext(ctx context.Context, ix *Index, q *query.Query, reg *obs.Registry) (r *ExactResult) {
-	reg = obs.Or(reg)
-	tr := obs.TraceFrom(ctx)
+	reg := obs.Default()
 	span := reg.StartSpan("eval.exact.query")
 	defer span.End()
 	reg.Counter("eval.exact.queries").Inc()
-	ts := tr.StartSpan("eval.plan")
 	ev := newEvaluator(ix, q)
-	ev.ctx = ctx
-	ev.reg = reg
-	ts.End()
 	defer ev.finish()
-	r = &ExactResult{ev: ev}
-	// checkCtx aborts a canceled evaluation by panicking with a sentinel;
-	// translate it into a Canceled result here. The deferred finish above
-	// still runs (LIFO after this recover), so the pooled scratch is
-	// returned and counters flush either way.
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(ctxCanceled); !ok {
-				panic(p)
-			}
-			r.Canceled = true
-			reg.Counter("eval.exact.canceled").Inc()
-		}
-	}()
-	ts = tr.StartSpan("eval.memo")
+	r := &ExactResult{ev: ev}
 	root := ix.Doc.Root
 	if root == nil || !ev.valid(0, root) {
-		ts.End()
-		ev.traceCounters(tr)
 		r.Empty = true
 		reg.Counter("eval.exact.empty").Inc()
 		return r
 	}
 	r.Tuples = ev.tuples(0, root)
-	ts.End()
-	ev.traceCounters(tr)
 	if math.IsInf(r.Tuples, 0) {
 		r.Overflow = true
 		reg.Counter("eval.exact.overflow").Inc()
@@ -128,19 +87,6 @@ func ExactContext(ctx context.Context, ix *Index, q *query.Query, reg *obs.Regis
 	return r
 }
 
-// traceCounters copies the evaluator's per-query counters onto the request
-// trace (no-op on untraced requests), before finish flushes them into the
-// aggregate registry.
-func (ev *evaluator) traceCounters(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	tr.AddCounter("exact_memo_hits", ev.memoHits)
-	tr.AddCounter("exact_match_hits", ev.matchHits)
-	tr.AddCounter("exact_label_scans", ev.labelScans)
-	tr.AddCounter("exact_count_fast", ev.countFast)
-}
-
 // evaluator carries the per-query evaluation state over one document: the
 // compiled query (edges and predicates numbered so memo cells live in dense
 // epoch-stamped arrays), the pooled scratch, and the retained match memo.
@@ -149,9 +95,6 @@ type evaluator struct {
 	q      *query.Query
 	qnodes []*query.Node
 
-	// ctxPoll carries the evaluation's cancellation signal (nil or
-	// Background for batch callers); work is charged per element visited.
-	ctxPoll
 	qidx   map[*query.Node]int
 	eidx   map[*query.Edge]int   // edge -> dense edge slot base
 	pidx   map[*query.Path]int   // predicate -> dense pred slot base
@@ -161,9 +104,6 @@ type evaluator struct {
 	// cedges holds, per query variable, its compiled outgoing edges, so the
 	// hot recursion reads plain struct fields instead of hashing pointers.
 	cedges [][]cedge
-
-	// reg receives the counters finish flushes.
-	reg *obs.Registry
 
 	// sc is the pooled dense scratch; nil between an Exact return and a
 	// later materialization call (which re-acquires it).
@@ -264,26 +204,27 @@ func (ev *evaluator) acquire() {
 }
 
 // finish releases the scratch back to the index pool and flushes the
-// locally accumulated counters into ev.reg.
+// locally accumulated counters into obs.Default.
 func (ev *evaluator) finish() {
 	if ev.sc != nil {
 		ev.ix.releaseScratch(ev.sc)
 		ev.sc = nil
 	}
+	reg := obs.Default()
 	if ev.memoHits > 0 {
-		ev.reg.Counter("eval.exact.memo_hits").Add(ev.memoHits)
+		reg.Counter("eval.exact.memo_hits").Add(ev.memoHits)
 		ev.memoHits = 0
 	}
 	if ev.matchHits > 0 {
-		ev.reg.Counter("eval.exact.match_hits").Add(ev.matchHits)
+		reg.Counter("eval.exact.match_hits").Add(ev.matchHits)
 		ev.matchHits = 0
 	}
 	if ev.labelScans > 0 {
-		ev.reg.Counter("eval.exact.label_scans").Add(ev.labelScans)
+		reg.Counter("eval.exact.label_scans").Add(ev.labelScans)
 		ev.labelScans = 0
 	}
 	if ev.countFast > 0 {
-		ev.reg.Counter("eval.exact.count_shortcuts").Add(ev.countFast)
+		reg.Counter("eval.exact.count_shortcuts").Add(ev.countFast)
 		ev.countFast = 0
 	}
 }
@@ -297,7 +238,6 @@ func (ev *evaluator) finish() {
 // orders keep exactly the elements whose predicates hold, in first-
 // occurrence (document) order.
 func (ev *evaluator) path(e *xmltree.Node, p *query.Path) []*xmltree.Node {
-	ev.checkCtx()
 	ix := ev.ix
 	cur := []*xmltree.Node{e}
 	for si := range p.Steps {
@@ -336,7 +276,6 @@ func (ev *evaluator) path(e *xmltree.Node, p *query.Path) []*xmltree.Node {
 			}
 			ev.labelScans++
 		}
-		ev.tickCtx(len(next))
 		if len(step.Preds) > 0 {
 			kept := next[:0]
 			for _, t := range next {
@@ -395,7 +334,6 @@ func countable(p *query.Path) bool {
 // subtree ranges while no earlier descendant step has run (sources then sit
 // in disjoint subtrees), and falls back to dedup counting afterwards.
 func (ev *evaluator) countPath(e *xmltree.Node, p *query.Path, existOnly bool) int {
-	ev.checkCtx()
 	ix := ev.ix
 	k := len(p.Steps)
 	last := &p.Steps[k-1]
@@ -447,7 +385,6 @@ func (ev *evaluator) countPath(e *xmltree.Node, p *query.Path, existOnly bool) i
 			}
 			nonNesting = false
 		}
-		ev.tickCtx(len(next))
 		if len(step.Preds) > 0 {
 			kept := next[:0]
 			for _, t := range next {
@@ -499,7 +436,6 @@ func (ev *evaluator) countPath(e *xmltree.Node, p *query.Path, existOnly bool) i
 			}
 		}
 	}
-	ev.tickCtx(len(cur) + total)
 	ev.putBuf(cur, pooled)
 	return total
 }
@@ -557,7 +493,6 @@ func (ev *evaluator) matches(slot int, p *query.Path, e *xmltree.Node) []*xmltre
 // valid reports whether element e is a valid binding for query variable
 // qi: every required child edge must have at least one valid binding.
 func (ev *evaluator) valid(qi int, e *xmltree.Node) bool {
-	ev.checkCtx()
 	sc := ev.sc
 	slot := qi*ev.stride + e.OID
 	if sc.validEp[slot] == sc.epoch {
@@ -603,7 +538,6 @@ func (ev *evaluator) valid(qi int, e *xmltree.Node) bool {
 // child edges of the summed tuples of valid matches, with empty optional
 // groups contributing a NULL binding (factor 1).
 func (ev *evaluator) tuples(qi int, e *xmltree.Node) float64 {
-	ev.checkCtx()
 	sc := ev.sc
 	slot := qi*ev.stride + e.OID
 	if sc.tupEp[slot] == sc.epoch {

@@ -46,8 +46,7 @@ type Result struct {
 	// Canceled marks a batch evaluation aborted because its context expired
 	// mid-enumeration. The rest of the result is a bare placeholder (no
 	// nodes, no counts) and must not be served as an answer; callers route
-	// it to their cancellation path the way ExactResult.Canceled is routed.
-	// Canceled results are never fingerprinted.
+	// it to their deadline path. Canceled results are never fingerprinted.
 	Canceled bool
 	// VarOptional marks, per query-variable index, whether the variable is
 	// bound through a dashed (optional) edge; used by Selectivity.

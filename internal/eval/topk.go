@@ -19,7 +19,10 @@ import (
 // Masses are in raw answer-mass units — estimated elements of the
 // approximate nesting tree, computed on the unpruned, unconditioned result
 // graph (the additive notion TotalNodes uses) — so EmittedMass + ErrorBound
-// bounds the full answer's raw mass from above.
+// bounds the full answer's raw mass from above. Over a count-stable
+// summary (exact mode) the masses count document elements exactly, still
+// before required-edge pruning, so they include bindings the answer drops
+// for a missing required child.
 type TopKInfo struct {
 	// K is the requested node budget; 0 means unbounded streaming.
 	K int
@@ -29,13 +32,15 @@ type TopKInfo struct {
 	// Discovered counts all result nodes reached, including the unexpanded
 	// frontier. Discovered - Expanded is the frontier size.
 	Discovered int
-	// EmittedMass is the raw answer mass of the expanded prefix.
+	// EmittedMass is the raw answer mass of the streamed result: every
+	// node it holds, the unexpanded frontier included.
 	EmittedMass float64
-	// ErrorBound bounds the raw answer mass of everything the expansion did
-	// not reach: descendants of frontier nodes plus any mass flowing through
-	// them into already-emitted nodes. +Inf when the synopsis is recursive
-	// enough that the chain mass below a frontier node genuinely diverges
-	// (or cannot cheaply be proven finite). 0 when Exhausted.
+	// ErrorBound bounds the raw answer mass of everything the streamed
+	// result does not hold: descendants of frontier nodes plus any mass
+	// flowing through them into already-streamed nodes. +Inf when the
+	// synopsis is recursive enough that the chain mass below a frontier
+	// node genuinely diverges (or cannot cheaply be proven finite). 0 when
+	// Exhausted.
 	ErrorBound float64
 	// Exhausted reports that the expansion covered the full result graph
 	// with no enumeration truncated; the result is then bit-identical to
@@ -263,8 +268,9 @@ func (a *approxer) expandBestFirst(ctx context.Context, mm *queryMass, info *Top
 // exactly the sequence the batch path would have produced for the expanded
 // subset. Only expanded nodes have recorded edges, so frontier (unexpanded)
 // nodes keep their incoming edges but emit none; they are exempt from
-// required-child pruning (their subtrees were never searched), and their
-// raw counts price the error bound.
+// required-child pruning (their subtrees were never searched). Every node's
+// raw count is emitted mass, and a frontier node's also prices the error
+// bound.
 func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *Result {
 	dm := mm.dm
 	a.grow(func(src int, edge *query.Edge) []termK {
@@ -283,8 +289,8 @@ func (a *approxer) replayTopK(exp *tkExpansion, mm *queryMass, info *TopKInfo) *
 	nodes := a.sc.nodes
 	a.pruneExempt = make([]bool, len(nodes))
 	for i, nd := range nodes {
+		info.EmittedMass += raw[i]
 		if n := exp.nodes[resKey{int(nd.src), int(nd.qi)}]; n != nil && n.expanded {
-			info.EmittedMass += raw[i]
 			continue
 		}
 		a.pruneExempt[i] = true
@@ -471,14 +477,16 @@ func computeMass(sk *sketch.Sketch, qnodes []*query.Node, child func(qi, j int) 
 		pv: make(map[*query.Edge][]float64),
 	}
 	// The DP runs uncancelled by design: it is polynomial in the synopsis
-	// (itself capped by the build budget) and query size, computed once per
-	// (sketch, query) and shared across requests through massFor's cache —
-	// aborting one request's computation would poison the entry every later
-	// request wants.
-	//lint:ctxpoll mass DP is polynomial in the build-budget-capped synopsis and its result is cached across requests
+	// and query size, computed once per (sketch, query) and shared across
+	// requests through massFor's cache — aborting one request's computation
+	// would poison the entry every later request wants. The synopsis is a
+	// TSBuild output capped by its build budget in approx mode, and in
+	// exact mode the count-stable summary, whose size is the document's
+	// class count.
+	//lint:ctxpoll mass DP is polynomial in the synopsis (build budget, or the document's class count for a summary) and its result is cached across requests
 	for qi := len(qnodes) - 1; qi >= 0; qi-- {
 		row := make([]float64, n)
-		//lint:ctxpoll per-edge pathMass sweeps are bounded by |steps| passes over the capped synopsis
+		//lint:ctxpoll per-edge pathMass sweeps are bounded by |steps| relaxation rounds over the synopsis, each at most as many passes as it has nodes
 		for j, edge := range qnodes[qi].Edges {
 			cv := child(qi, j)
 			tv := make([]float64, n)

@@ -55,14 +55,16 @@ func TestTopKUnboundedMatchesBatchFingerprint(t *testing.T) {
 // TestTopKErrorBoundDominatesTruncatedMass checks the bound's contract on
 // raw answer mass: for every finite budget, the mass the full evaluation
 // carries beyond the streamed prefix must not exceed the reported
-// ErrorBound. Pruning and conditioning redistribute mass non-monotonically,
-// so both sides run unpruned — the regime the bound is defined in.
+// ErrorBound, and EmittedMass + ErrorBound must bound the full mass from
+// above. Pruning and conditioning redistribute mass non-monotonically, so
+// both sides run unpruned — the regime the bound is defined in. A budget
+// of the whole summary is exact mode's synopsis.
 func TestTopKErrorBoundDominatesTruncatedMass(t *testing.T) {
 	cases, truncated, finiteBounds := 0, 0, 0
 	for _, ds := range datagen.All() {
 		doc := datagen.Generate(ds, 2000, 1)
 		st := stable.Build(doc)
-		for _, div := range []int{2, 8} {
+		for _, div := range []int{1, 2, 8} {
 			sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: st.SizeBytes() / div})
 			for qi, q := range query.Generate(st, 25, query.GenOptions{Seed: int64(div) + 10}) {
 				full := approxUnpruned(sk, q, Options{})
@@ -108,6 +110,10 @@ func TestTopKErrorBoundDominatesTruncatedMass(t *testing.T) {
 					if trueTrunc > info.ErrorBound*(1+1e-9)+1e-9 {
 						t.Fatalf("%s/%d q%d k=%d: true truncated mass %v exceeds ErrorBound %v (full %v, emitted %v)",
 							ds, div, qi, k, trueTrunc, info.ErrorBound, full.TotalNodes(), part.TotalNodes())
+					}
+					if fm := full.TotalNodes(); info.EmittedMass+info.ErrorBound < fm*(1-1e-9)-1e-9 {
+						t.Fatalf("%s/%d q%d k=%d: EmittedMass %v + ErrorBound %v falls short of the full mass %v",
+							ds, div, qi, k, info.EmittedMass, info.ErrorBound, fm)
 					}
 					if info.Exhausted {
 						if tt := math.Abs(trueTrunc); tt > 1e-9 {

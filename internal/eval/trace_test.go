@@ -20,30 +20,6 @@ func spanNames(tr *obs.Trace) map[string]bool {
 	return names
 }
 
-func TestExactContextRecordsTrace(t *testing.T) {
-	doc := xmltree.MustCompact("r(e(a,b),e(a),e(b))")
-	ix := NewIndex(doc)
-	q := query.MustParse("//e[/a]")
-
-	tr := obs.NewTrace(q.String())
-	ctx := obs.ContextWithTrace(context.Background(), tr)
-	traced := ExactContext(ctx, ix, q, nil)
-	plain := Exact(ix, q)
-	if traced.Tuples != plain.Tuples || traced.Empty != plain.Empty {
-		t.Fatalf("traced result %v differs from untraced %v", traced, plain)
-	}
-
-	names := spanNames(tr)
-	for _, want := range []string{"eval.plan", "eval.memo"} {
-		if !names[want] {
-			t.Errorf("exact trace missing span %q (have %v)", want, names)
-		}
-	}
-	if c := tr.Snapshot().Counters; c["exact_label_scans"] == 0 {
-		t.Errorf("exact trace counters = %v, want label scans", c)
-	}
-}
-
 func TestApproxContextRecordsTrace(t *testing.T) {
 	doc := xmltree.MustCompact("r(e(a,b),e(a),e(b),e(a,a))")
 	st := stable.Build(doc)
@@ -76,12 +52,8 @@ func TestUntracedContextIsFree(t *testing.T) {
 	doc := xmltree.MustCompact("r(e(a),e(b))")
 	st := stable.Build(doc)
 	sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: 1})
-	ix := NewIndex(doc)
 	q := query.MustParse("//e")
 
-	if got, want := ExactContext(context.Background(), ix, q, nil).Tuples, Exact(ix, q).Tuples; got != want {
-		t.Errorf("exact tuples with bare context = %v, want %v", got, want)
-	}
 	a := ApproxContext(context.Background(), sk, q, Options{})
 	b := Approx(sk, q, Options{})
 	if a.Selectivity() != b.Selectivity() {

@@ -6,29 +6,30 @@ import (
 	"sort"
 )
 
-// CtxPollAnalyzer generalizes the exact-eval cancellation fix (PR 8): a
-// request that hits a pathological query must stop burning its serving slot
-// the moment its context is canceled, which requires every long walk on a
-// request path to poll ctx within a bounded work budget (the tickCtx
-// pattern: charge per element visited, check every N charges). The
-// analyzer keeps the next evaluator from reintroducing slot-pinning.
+// CtxPollAnalyzer keeps serving requests cancelable: a request that hits a
+// pathological query must stop burning its serving slot the moment its
+// context is canceled, which requires every long walk on a request path to
+// poll ctx within a bounded work budget (the tickCtx pattern: charge per
+// unit of work, check every N charges). The analyzer keeps the next
+// evaluator from reintroducing slot-pinning.
 //
 // It builds the intra-module call graph (function values and interface
 // dispatch are not followed; edges into package obs are cut as the
 // telemetry boundary) and computes the closure reachable from the serving
-// entry points: eval.ExactContext, eval.ApproxContext, eval.CountContext,
-// and the serve handler methods (handle*). Within that closure, restricted to the
-// serving packages (serve, eval, tier), it reports every for/range loop
-// whose per-iteration work is unbounded — the body calls a module function
-// that (transitively) loops — unless the iteration polls:
+// entry points: eval.ApproxContext, eval.CountContext (both estimate
+// modes evaluate through them), and the serve handler methods (handle*).
+// Within that closure, restricted to the serving packages (serve, eval,
+// tier), it reports every for/range loop whose per-iteration work is
+// unbounded — the body calls a module function that (transitively) loops —
+// unless the iteration polls:
 //
 //   - the loop body calls tickCtx / checkCtx / pollCtx, or
 //   - the loop body checks ctx directly (ctx.Err(), <-ctx.Done()), or
 //   - the loop body calls a module function that transitively polls, or
 //   - the enclosing function polls anywhere in its own body — the
-//     post-charge idiom, where an enclosing loop ticks a work-proportional
-//     budget after each inner scan (the exact evaluator's
-//     `ev.tickCtx(len(next))` after its per-step child scans).
+//     post-charge idiom, where a function charges a work-proportional
+//     budget once after its inner scans, e.g. tickCtx(len(next)) after a
+//     per-step scan, instead of once per iteration.
 //
 // Loops whose bodies only do straight-line work per iteration are exempt:
 // the enclosing walk charges them through its own budget; calls into
@@ -47,7 +48,6 @@ var CtxPollAnalyzer = &Analyzer{
 // name, function name) pairs; serve handler methods (handle*) are added by
 // pattern.
 var ctxpollRoots = [][2]string{
-	{"eval", "ExactContext"},
 	{"eval", "ApproxContext"},
 	{"eval", "CountContext"},
 }

@@ -37,9 +37,9 @@ func (ev *evaluator) tickCtx(n int) {
 	ev.ctxTick += uint(n)
 }
 
-// ExactContext is a serving root; its own unpolled sweep is the first
+// ApproxContext is a serving root; its own unpolled sweep is the first
 // violation.
-func ExactContext(ctx context.Context, h *obs.Histogram, sks []*sketch) int {
+func ApproxContext(ctx context.Context, h *obs.Histogram, sks []*sketch) int {
 	ev := &evaluator{ctx: ctx}
 	total := 0
 	for _, sk := range sks { /* want "unbounded per-iteration work without polling ctx" */

@@ -20,7 +20,6 @@ const (
 	codeMethodNotAllowed = "method_not_allowed" // wrong HTTP method
 	codeUpdateRejected   = "update_rejected"    // update failed tier admission checks
 	codeTupleOverflow    = "tuple_overflow"     // exact count overflowed float64
-	codeResultTooLarge   = "result_too_large"   // materialization exceeded the node budget
 
 	// Server-side refusals (503).
 	codeDraining         = "draining"          // server is draining before shutdown

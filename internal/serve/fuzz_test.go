@@ -11,6 +11,7 @@ import (
 
 	"treesketch/internal/eval"
 	"treesketch/internal/obs"
+	"treesketch/internal/query"
 	"treesketch/internal/stable"
 	"treesketch/internal/tier"
 	"treesketch/internal/tsbuild"
@@ -23,17 +24,18 @@ var knownCodes = map[string]bool{
 	codeMissingQuery: true, codeParseError: true, codeQueryTooLong: true, codeBadK: true, codeBadMode: true,
 	codeBadOp: true, codeUnknownDataset: true, codeNoExactIndex: true,
 	codeMethodNotAllowed: true, codeUpdateRejected: true, codeTupleOverflow: true,
-	codeResultTooLarge: true, codeDraining: true, codeDeadlineExceeded: true,
+	codeDraining: true, codeDeadlineExceeded: true,
 	shedQueueFull: true, shedDeadline: true,
 }
 
 // FuzzServe drives the two untrusted HTTP inputs, the raw query string of
 // GET /estimate and the body of POST /update, against a server with one
-// static dataset (synopsis plus index) and one live stack. Whatever the
+// static dataset (synopsis plus document) and one live stack. Whatever the
 // input, the server must not panic or answer 500, every refusal must be a
 // JSON body with a registered code, every answered estimate must carry a
-// finite, non-negative selectivity, and a fixed probe must still answer
-// afterwards.
+// finite, non-negative selectivity, every answered exact-mode estimate
+// must equal eval.Exact over the dataset's current document, and fixed
+// probes in both modes must still answer afterwards.
 func FuzzServe(f *testing.F) {
 	seeds := []struct{ raw, body string }{
 		{"q=//a", `{"op":"insert","parent_oid":0,"subtree":"a(b)"}`},
@@ -45,6 +47,7 @@ func FuzzServe(f *testing.F) {
 		{"q=//[&k=x", `not json`},
 		{"", `{"op":"insert","parent_oid":1,"subtree":"a(b*999999999)"}`},
 		{"q=//a&dataset=live&mode=exact", `{"op":"insert","extra":1}`},
+		{"q=//a{//b?}&dataset=live&mode=exact&k=2", `{"op":"insert","parent_oid":2,"subtree":"a(b,a(b))"}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.raw, []byte(s.body))
@@ -69,30 +72,34 @@ func FuzzServe(f *testing.F) {
 		s.AddIndex("static", ix)
 		s.AddStack("live", stk)
 		h := s.Handler()
+		docs := map[string]*xmltree.Tree{"static": doc, "live": stk.Doc()}
 
 		est := httptest.NewRequest(http.MethodGet, "/estimate", nil)
 		est.URL.RawQuery = raw
-		checkFuzzResponse(t, h, est, true)
+		checkFuzzResponse(t, h, est, docs)
 		upd := httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body))
-		checkFuzzResponse(t, h, upd, false)
+		checkFuzzResponse(t, h, upd, nil)
 
 		for _, ds := range []string{"static", "live"} {
-			probe := httptest.NewRequest(http.MethodGet, "/estimate?q=//a&dataset="+ds, nil)
-			if code := checkFuzzResponse(t, h, probe, true); code != http.StatusOK {
-				t.Fatalf("probe on %s after raw %q, body %q: status %d", ds, raw, body, code)
+			for _, mode := range []string{"approx", "exact"} {
+				probe := httptest.NewRequest(http.MethodGet, "/estimate?q=//a{//b?}&mode="+mode+"&dataset="+ds, nil)
+				if code := checkFuzzResponse(t, h, probe, docs); code != http.StatusOK {
+					t.Fatalf("%s probe on %s after raw %q, body %q: status %d", mode, ds, raw, body, code)
+				}
 			}
 		}
 	})
 }
 
 // checkFuzzResponse serves req and checks FuzzServe's invariants on the
-// answer, returning its status.
-func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, estimate bool) int {
+// answer, returning its status. docs maps each dataset to its current
+// document for estimate requests, and is nil for updates.
+func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map[string]*xmltree.Tree) int {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code == http.StatusOK {
-		if !estimate {
+		if docs == nil {
 			var ur UpdateResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &ur); err != nil {
 				t.Fatalf("%s %s: 200 body not JSON: %v", req.Method, req.URL, err)
@@ -105,6 +112,15 @@ func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, estimate
 		}
 		if math.IsNaN(er.Selectivity) || math.IsInf(er.Selectivity, 0) || er.Selectivity < 0 {
 			t.Fatalf("%s %s: selectivity %v", req.Method, req.URL, er.Selectivity)
+		}
+		// A truncated count is a documented lower bound, not an answer
+		// the summary claims is exact.
+		if er.Mode == "exact" && !er.Truncated {
+			ex := eval.Exact(eval.NewIndex(docs[er.Dataset]), query.MustParse(er.Query))
+			if er.Selectivity != ex.Tuples || er.Empty != ex.Empty {
+				t.Fatalf("%s %s: exact answer %v (empty %v), eval.Exact %v (empty %v)",
+					req.Method, req.URL, er.Selectivity, er.Empty, ex.Tuples, ex.Empty)
+			}
 		}
 		return w.Code
 	}

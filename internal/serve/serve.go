@@ -29,6 +29,7 @@ import (
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
 	"treesketch/internal/sketch"
+	"treesketch/internal/stable"
 	"treesketch/internal/tier"
 )
 
@@ -142,13 +143,14 @@ func New(opts Options) *Server {
 }
 
 // dataset is one published dataset. A static dataset has a synopsis and,
-// when it was built from a document, the index ?mode=exact needs; a live
-// dataset has only its tier stack, whose current view answers every
-// estimate.
+// when it was built from a document, a summary function for ?mode=exact
+// that builds the document's count-stable summary sketch once, on first
+// use; a live dataset has only its tier stack, whose current view answers
+// approximate estimates and whose Summary answers exact ones.
 type dataset struct {
-	sk    *sketch.Sketch
-	ix    *eval.Index
-	stack *tier.Stack
+	sk      *sketch.Sketch
+	summary func() *sketch.Sketch
+	stack   *tier.Stack
 }
 
 // FlightRecorder exposes the server's slow-trace recorder (for tests and
@@ -175,20 +177,24 @@ func (s *Server) publish(edit func(cat map[string]dataset)) {
 
 // AddSketch publishes a static synopsis under the given dataset name,
 // replacing any previous dataset of that name but keeping the document
-// index of a static one.
+// summary of a static one.
 func (s *Server) AddSketch(name string, sk *sketch.Sketch) {
-	s.publish(func(cat map[string]dataset) { cat[name] = dataset{sk: sk, ix: cat[name].ix} })
+	s.publish(func(cat map[string]dataset) { cat[name] = dataset{sk: sk, summary: cat[name].summary} })
 }
 
-// AddIndex attaches the document index backing a static dataset published
-// with AddSketch, enabling ?mode=exact for it. Synopsis-only deployments
-// (loading .syn files) have no document to index; exact requests against
-// such datasets get a structured 404. A name with no published synopsis
-// is left alone.
+// AddIndex attaches the document behind a static dataset published with
+// AddSketch, enabling ?mode=exact for it: the first exact request builds
+// the document's count-stable summary, and every exact request answers
+// from it. Only ix.Doc is kept, and nothing is built here. Synopsis-only
+// deployments (loading .syn files) have no document; exact requests
+// against such datasets get a structured 404. A name with no published
+// synopsis is left alone.
 func (s *Server) AddIndex(name string, ix *eval.Index) {
+	doc := ix.Doc
+	summary := sync.OnceValue(func() *sketch.Sketch { return sketch.FromStable(stable.Build(doc)) })
 	s.publish(func(cat map[string]dataset) {
 		if d, ok := cat[name]; ok && d.sk != nil {
-			d.ix = ix
+			d.summary = summary
 			cat[name] = d
 		}
 	})
@@ -448,15 +454,18 @@ const resultNodeBytes = 64
 
 // handleEstimate serves GET /estimate?q=<twig query>[&dataset=<name>]
 // [&k=<node budget>][&mode=approx|exact]: it admits the request through the
-// admission gate, parses the query, evaluates it over the named synopsis
-// (or, for mode=exact, the dataset's document index) under the request
-// deadline, and reports the selectivity estimate. Without a node budget
-// the approximate answer is counted (eval.CountContext, or the stack's
+// admission gate, parses the query, evaluates it under the request
+// deadline, and reports the selectivity. The mode picks the synopsis, not
+// the evaluator: approx mode reads the dataset's TreeSketch (a live
+// dataset's base+delta view), exact mode the count-stable summary of its
+// document, on which the same evaluation is exact (Section 4.3). Without a
+// node budget the answer is counted (eval.CountContext, or the stack's
 // CountContext on a live dataset): the response carries only the
 // selectivity and the result synopsis' size, so the synopsis is never
 // built. With one — an explicit ?k= or the server-wide MaxResultBytes
 // default — evaluation streams the result best-first and the response
-// reports coverage plus a bound on the truncated remainder. The request
+// reports coverage plus a bound on the truncated remainder; exact mode
+// still reports the summary's full count as its selectivity. The request
 // runs under an obs.Trace whose admission/parse/plan/memo/emit phase
 // breakdown lands in the flight recorder when the request ranks among the
 // slowest.
@@ -546,11 +555,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetLabel("dataset", dsName)
 
-	if mode == "exact" {
-		s.serveExact(w, ctx, tr, q, dsName, d.ix, limit)
-		return
-	}
-
 	// Without a node budget the answer is the selectivity and the result
 	// synopsis' size, so the evaluation counts instead of materializing
 	// the synopsis; a budgeted one streams it (eval.Options.Limit).
@@ -561,9 +565,37 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		topk     *eval.TopKInfo
 		tierResp *TierResponse
 	)
-	if st := d.stack; st != nil {
+	switch {
+	case mode == "exact":
+		summary := d.summary
+		if d.stack != nil {
+			summary = d.stack.Summary
+		}
+		if summary == nil {
+			s.mNotFound.Inc()
+			s.fail(w, http.StatusNotFound, codeNoExactIndex, tr.IDString(),
+				fmt.Sprintf("dataset %q has no document (built from a synopsis only); exact mode needs -doc", dsName))
+			return
+		}
+		ss := tr.StartSpan("serve.summary")
+		sk := summary()
+		ss.End()
+		// The selectivity is always the summary's full count; a node
+		// budget adds the streamed result's size and coverage.
+		c = eval.CountContext(ctx, sk, q, opts)
+		sel = c.Selectivity
+		if !c.Canceled && !jsonFinite(sel) {
+			s.overflow(w, tr, q)
+			return
+		}
+		if limit != 0 && !c.Canceled {
+			res := eval.ApproxContext(ctx, sk, q, opts)
+			c.Nodes, topk = len(res.Nodes), res.TopK
+		}
+	case d.stack != nil:
 		// Live dataset: answer over the stack's current immutable view
 		// (base+delta), which never blocks on an in-flight compaction.
+		st := d.stack
 		var info tier.Info
 		if limit == 0 {
 			c, sel, info = st.CountContext(ctx, q, opts)
@@ -580,10 +612,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			Delta:           jsonSafe(info.Delta),
 			Compacting:      st.Compacting(),
 		}
-	} else if limit == 0 {
+	case limit == 0:
 		c = eval.CountContext(ctx, d.sk, q, opts)
 		sel = c.Selectivity
-	} else {
+	default:
 		res := eval.ApproxContext(ctx, d.sk, q, opts)
 		c, topk = shapeOf(res), res.TopK
 		if !res.Canceled {
@@ -593,8 +625,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if c.Canceled {
 		// The evaluation aborted at the request deadline with no usable
 		// synopsis; finishEstimate sees the expired ctx and no TopK block
-		// and answers the standard deadline 503 (the serveExact route for
-		// ExactResult.Canceled, applied to the approximate path).
+		// and answers the standard deadline 503.
 		s.finishEstimate(w, ctx, tr, EstimateResponse{
 			TraceID: tr.IDString(),
 			Dataset: dsName,
@@ -631,76 +662,23 @@ func shapeOf(res *eval.Result) eval.CountResult {
 	return eval.CountResult{Nodes: len(res.Nodes), Empty: res.Empty, Truncated: res.Truncated, Canceled: res.Canceled}
 }
 
-// serveExact answers ?mode=exact from the dataset's document index: the
-// true binding-tuple count, plus — under a node budget — a best-first
-// materialization report with the exact remaining-mass bound.
-func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, q *query.Query, dsName string, ix *eval.Index, limit int) {
-	if ix == nil {
-		s.mNotFound.Inc()
-		s.fail(w, http.StatusNotFound, codeNoExactIndex, tr.IDString(),
-			fmt.Sprintf("dataset %q has no document index (built from a synopsis only); exact mode needs -doc", dsName))
-		return
+// overflow answers an exact count that overflowed float64. That is a
+// property of the query, not a server fault: it gets a 422 with a stable
+// code instead of an unstructured 500 (or worse, a body the JSON encoder
+// rejects and truncates). The trace is shed-tagged so overload forensics
+// see these alongside admission sheds.
+func (s *Server) overflow(w http.ResponseWriter, tr *obs.Trace, q *query.Query) {
+	s.mOverflow.Inc()
+	tr.SetLabel("shed", codeTupleOverflow)
+	tr.Finish()
+	if s.rec.Record(tr) {
+		s.mRetained.Inc()
 	}
-	res := eval.ExactContext(ctx, ix, q, s.reg)
-	if res.Canceled {
-		// The evaluator stopped at the request deadline with no usable
-		// count; finishEstimate sees the expired ctx and no TopK block and
-		// answers the standard deadline 503.
-		s.finishEstimate(w, ctx, tr, EstimateResponse{
-			TraceID: tr.IDString(),
-			Dataset: dsName,
-			Mode:    "exact",
-			Query:   q.String(),
-		})
-		return
-	}
-	if res.Overflow {
-		// An overflowed count is a property of the query, not a server
-		// fault: answer 422 with a stable code instead of letting the +Inf
-		// escape as an unstructured 500 (or worse, through the JSON encoder,
-		// which rejects it and truncates the body). The trace is shed-tagged
-		// so overload forensics see these alongside admission sheds.
-		s.mOverflow.Inc()
-		tr.SetLabel("shed", codeTupleOverflow)
-		tr.Finish()
-		if s.rec.Record(tr) {
-			s.mRetained.Inc()
-		}
-		s.writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error:   res.Err().Error(),
-			Code:    codeTupleOverflow,
-			TraceID: tr.IDString(),
-		})
-		return
-	}
-	resp := EstimateResponse{
-		TraceID:     tr.IDString(),
-		Dataset:     dsName,
-		Mode:        "exact",
-		Query:       q.String(),
-		Selectivity: res.Tuples,
-		Empty:       res.Empty,
-	}
-	if limit != 0 {
-		es := tr.StartSpan("serve.emit")
-		nt, info, err := res.TopKNestingTree(limit)
-		es.End()
-		if err != nil {
-			if ctx.Err() != nil {
-				// Materialization was cut off by the request deadline with
-				// nothing soundly emittable; answer the deadline 503 rather
-				// than misreporting a client error.
-				s.finishEstimate(w, ctx, tr, resp)
-				return
-			}
-			s.fail(w, http.StatusUnprocessableEntity, codeResultTooLarge, tr.IDString(), err.Error())
-			return
-		}
-		resp.ResultNodes = nt.Size()
-		resp.TopK = topKResponse(info)
-		resp.Partial = !info.Exhausted
-	}
-	s.finishEstimate(w, ctx, tr, resp)
+	s.writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
+		Error:   (&eval.TupleOverflowError{Query: q.String()}).Error(),
+		Code:    codeTupleOverflow,
+		TraceID: tr.IDString(),
+	})
 }
 
 // finishEstimate settles a computed answer against the deadline. The

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,8 +174,8 @@ func TestEstimateDeadlinePartialAnswer(t *testing.T) {
 	}
 }
 
-// exactTestServer publishes one small dataset with both a synopsis and a
-// document index, plus a synopsis-only dataset.
+// exactTestServer publishes one small dataset with both a synopsis and
+// its document, plus a synopsis-only dataset.
 func exactTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	doc := xmltree.MustCompact("r(a(b(c),b,d),a(b),a,e(d,d))")
@@ -188,9 +189,10 @@ func exactTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// TestExactModeHTTP drives ?mode=exact end to end: true counts, budgeted
-// best-first materialization, and the structured 404 for synopsis-only
-// datasets.
+// TestExactModeHTTP drives ?mode=exact end to end: true counts from the
+// document's summary, a node budget that streams the summary's result
+// synopsis without touching the count, and the structured 404 for
+// synopsis-only datasets.
 func TestExactModeHTTP(t *testing.T) {
 	_, ts := exactTestServer(t)
 	q := urlQueryEscape("//a{//b?}")
@@ -204,17 +206,38 @@ func TestExactModeHTTP(t *testing.T) {
 	if er.Selectivity != 4 || er.Empty {
 		t.Fatalf("exact count = %v empty=%v, want 4/false", er.Selectivity, er.Empty)
 	}
+	if er.TopK != nil || er.Tier != nil {
+		t.Fatalf("unbudgeted exact answer carries a topk or tier block: %+v", er)
+	}
 
+	// The summary's result synopsis holds the root, the three a classes and
+	// the two b classes; its raw mass is the nesting tree's 1 + 3 + 3
+	// elements.
 	full := getEstimate(t, ts, "/estimate?dataset=tiny&mode=exact&k=-1&q="+q)
 	if full.TopK == nil || !full.TopK.Exhausted || full.Partial {
-		t.Fatalf("unbounded exact materialization = %+v", full.TopK)
+		t.Fatalf("unbounded exact stream = %+v", full.TopK)
 	}
+	if full.Selectivity != 4 || full.ResultNodes != er.ResultNodes || full.ResultNodes != 6 {
+		t.Fatalf("unbounded exact stream: selectivity %v, %d nodes; want 4 and the count's %d nodes (6)",
+			full.Selectivity, full.ResultNodes, er.ResultNodes)
+	}
+	if full.TopK.EmittedMass != 7 || full.TopK.ErrorBound != 0 {
+		t.Fatalf("unbounded exact stream masses %v + %v, want 7 + 0", full.TopK.EmittedMass, full.TopK.ErrorBound)
+	}
+	// k=2 expands the root and the a class with two b children; the
+	// streamed result also holds the frontier (the other two a classes and
+	// both b classes), so it has all 6 nodes. The a(b) class's b is not
+	// linked yet: it is missing from the emitted 6 and priced by the bound.
 	part := getEstimate(t, ts, "/estimate?dataset=tiny&mode=exact&k=2&q="+q)
-	if part.TopK == nil || part.ResultNodes != 2 || !part.Partial {
-		t.Fatalf("budgeted exact materialization = %+v (topk %+v)", part, part.TopK)
+	if part.TopK == nil || part.TopK.Expanded != 2 || part.TopK.Discovered != 6 || !part.Partial {
+		t.Fatalf("budgeted exact stream = %+v (topk %+v)", part, part.TopK)
 	}
-	if part.TopK.EmittedMass+part.TopK.ErrorBound != full.TopK.EmittedMass {
-		t.Fatalf("exact accounting: %v emitted + %v bound != %v total",
+	if part.Selectivity != 4 || part.ResultNodes != 6 {
+		t.Fatalf("budgeted exact answer: selectivity %v, %d nodes; want the full count 4 over 6 nodes",
+			part.Selectivity, part.ResultNodes)
+	}
+	if part.TopK.EmittedMass != 6 || part.TopK.ErrorBound != 1 {
+		t.Fatalf("exact accounting: %v emitted + %v bound, want 6 + 1 of the %v total",
 			part.TopK.EmittedMass, part.TopK.ErrorBound, full.TopK.EmittedMass)
 	}
 
@@ -240,26 +263,55 @@ func TestExactModeHTTP(t *testing.T) {
 	}
 }
 
-// TestExactTelemetryInServerRegistry: an exact-mode request reports its
-// eval.exact.* telemetry where the rest of the request's telemetry goes,
-// the server's registry, and leaves obs.Default alone.
+// TestExactModeConcurrentFirstRequests: exact requests racing on a frozen
+// dataset's first use share one summary build and all answer its count.
+// Run under -race.
+func TestExactModeConcurrentFirstRequests(t *testing.T) {
+	_, ts := exactTestServer(t)
+	url := ts.URL + "/estimate?dataset=tiny&mode=exact&q=" + urlQueryEscape("//a{//b?}")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := ts.Client().Get(url)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var er EstimateResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || resp.StatusCode != 200 || er.Selectivity != 4 {
+				t.Errorf("concurrent first exact request: status %d, selectivity %v, decode error %v", resp.StatusCode, er.Selectivity, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestExactTelemetryInServerRegistry: an exact-mode request runs the
+// approximate evaluator over the summary, so its eval.approx.* and
+// eval.topk.* telemetry lands where the rest of the request's telemetry
+// goes, the server's registry, and leaves obs.Default alone.
 func TestExactTelemetryInServerRegistry(t *testing.T) {
 	s, ts := exactTestServer(t)
 	before := obs.Default().Snapshot()
 	getEstimate(t, ts, "/estimate?dataset=tiny&mode=exact&k=4&q="+urlQueryEscape("//a/b"))
 	snap := s.Registry().Snapshot()
-	if got := snap.Counters["eval.exact.queries"]; got != 1 {
-		t.Errorf("server registry eval.exact.queries = %d, want 1", got)
+	if got := snap.Counters["eval.approx.queries"]; got != 1 {
+		t.Errorf("server registry eval.approx.queries = %d, want 1 (the count)", got)
 	}
-	if got := snap.Timers["eval.exact.query"].Count; got != 1 {
-		t.Errorf("server registry eval.exact.query timer count = %d, want 1", got)
+	if got := snap.Counters["eval.topk.queries"]; got != 1 {
+		t.Errorf("server registry eval.topk.queries = %d, want 1 (the stream)", got)
+	}
+	if got := snap.Timers["eval.approx.query"].Count; got != 1 {
+		t.Errorf("server registry eval.approx.query timer count = %d, want 1", got)
 	}
 	after := obs.Default().Snapshot()
-	if got, was := after.Counters["eval.exact.queries"], before.Counters["eval.exact.queries"]; got != was {
-		t.Errorf("obs.Default eval.exact.queries moved %d -> %d", was, got)
-	}
-	if got, was := after.Timers["eval.exact.query"].Count, before.Timers["eval.exact.query"].Count; got != was {
-		t.Errorf("obs.Default eval.exact.query timer count moved %d -> %d", was, got)
+	for _, name := range []string{"eval.approx.queries", "eval.topk.queries", "eval.exact.queries"} {
+		if got, was := after.Counters[name], before.Counters[name]; got != was {
+			t.Errorf("obs.Default %s moved %d -> %d", name, was, got)
+		}
 	}
 }
 
@@ -336,10 +388,10 @@ func TestTupleOverflowHTTP(t *testing.T) {
 }
 
 // TestExactModeDeadline503 pins exact-mode cancellation through the serve
-// path: a request deadline that expires during exact evaluation must come
-// back as the standard deadline 503 — with the evaluator actually stopped —
-// instead of occupying an admission slot until the full document walk
-// completes.
+// path: a request deadline that expires during the count over the summary
+// must come back as the standard deadline 503 — with the evaluator
+// actually stopped by the approximate path's cancellation — instead of
+// occupying an admission slot until the evaluation completes.
 func TestExactModeDeadline503(t *testing.T) {
 	doc := xmltree.MustCompact("r(a(b(c),b,d),a(b),a,e(d,d))")
 	s := New(Options{Deadline: time.Nanosecond, Metrics: obs.NewRegistry()})
@@ -368,8 +420,8 @@ func TestExactModeDeadline503(t *testing.T) {
 	}
 	// The evaluator-side cancellation counter lands in the server's
 	// registry, like the rest of the request's telemetry.
-	if n := s.Registry().Snapshot().Counters["eval.exact.canceled"]; n != 1 {
-		t.Errorf("eval.exact.canceled = %d, want 1", n)
+	if n := s.Registry().Snapshot().Counters["eval.approx.canceled"]; n != 1 {
+		t.Errorf("eval.approx.canceled = %d, want 1", n)
 	}
 }
 
@@ -439,7 +491,7 @@ func TestTopKResponseNonFinite(t *testing.T) {
 }
 
 // TestApproxModeDeadline503 pins batch-approx cancellation through the
-// serve path (the approximate twin of TestExactModeDeadline503): a request
+// serve path (the approx-mode twin of TestExactModeDeadline503): a request
 // deadline that expires during batch evaluation comes back as the standard
 // deadline 503 with the enumeration actually stopped — no partial synopsis
 // escapes as an answer — and the evaluator-side counter records the abort

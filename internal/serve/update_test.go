@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"treesketch/internal/eval"
 	"treesketch/internal/obs"
+	"treesketch/internal/query"
 	"treesketch/internal/tier"
 	"treesketch/internal/xmltree"
 )
@@ -254,22 +256,51 @@ func TestUpdateDuringCompactionDoesNotBlockEstimates(t *testing.T) {
 	}
 }
 
+// TestExactModeOnLiveDataset: a live dataset answers ?mode=exact from its
+// stack's summary, which follows every update. After a run of inserts and
+// deletes the answer equals eval.Exact on the maintained document, and an
+// update between two exact requests changes the answer, so a summary
+// served past its sequence number fails here.
 func TestExactModeOnLiveDataset(t *testing.T) {
-	s, _ := newLiveServer(t, "r(a(b))", tier.Options{Synchronous: true})
+	s, stk := newLiveServer(t, "r(a(b),a(b,c),c(a(b)))", tier.Options{Synchronous: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	q := query.MustParse("//a{//b,/c?}")
+	path := "/estimate?mode=exact&q=" + urlQueryEscape(q.String())
+	exact := func() float64 {
+		t.Helper()
+		ex := eval.Exact(eval.NewIndex(stk.Doc()), q)
+		er := getEstimate(t, ts, path)
+		if er.Selectivity != ex.Tuples || er.Empty != ex.Empty || er.Tier != nil {
+			t.Fatalf("live exact answer %v (empty %v, tier %+v), eval.Exact %v (empty %v)",
+				er.Selectivity, er.Empty, er.Tier, ex.Tuples, ex.Empty)
+		}
+		return er.Selectivity
+	}
 
-	resp, err := ts.Client().Get(ts.URL + "/estimate?mode=exact&q=" + urlQueryEscape("//a"))
-	if err != nil {
-		t.Fatal(err)
+	before := exact()
+	var oids []int
+	for _, sub := range []string{"a(b,b)", "a(a(b),c)", "c(a(b,b,b))"} {
+		var ur UpdateResponse
+		req := UpdateRequest{Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: sub}
+		if code := postUpdate(t, ts, req, &ur); code != 200 {
+			t.Fatalf("insert %s: status %d", sub, code)
+		}
+		oids = append(oids, ur.OID)
+		exact()
 	}
-	defer resp.Body.Close()
-	var er errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
+	if code := postUpdate(t, ts, UpdateRequest{Op: "delete", OID: oids[1]}, &UpdateResponse{}); code != 200 {
+		t.Fatalf("delete: status %d", code)
 	}
-	if resp.StatusCode != 404 || er.Code != "no_exact_index" {
-		t.Errorf("exact on live dataset: status %d code %q, want 404 no_exact_index", resp.StatusCode, er.Code)
+	after := exact()
+	if after == before {
+		t.Fatalf("exact answer %v did not move across the updates", after)
+	}
+	if code := postUpdate(t, ts, UpdateRequest{Op: "delete", OID: oids[2]}, &UpdateResponse{}); code != 200 {
+		t.Fatalf("delete: status %d", code)
+	}
+	if got := exact(); got == after {
+		t.Fatalf("exact answer %v unchanged by a delete between two requests", got)
 	}
 }
 

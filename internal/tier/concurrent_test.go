@@ -8,6 +8,7 @@ import (
 
 	"treesketch/internal/eval"
 	"treesketch/internal/obs"
+	"treesketch/internal/sketch"
 	"treesketch/internal/stable"
 	"treesketch/internal/xmltree"
 )
@@ -277,5 +278,58 @@ func TestMergesWaitOutCompaction(t *testing.T) {
 	oracle := CompactSketch(stable.Build(fresh), opts.BudgetBytes, 0, obs.NewRegistry())
 	if got, want := v.Base.Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("post-compaction base fp %016x, rebuild fp %016x", got, want)
+	}
+}
+
+// TestSummaryBesideUpdates calls Summary from several goroutines while a
+// writer absorbs a seeded script with background merges and compactions
+// running. Every summary a reader gets must answer a count, and at
+// quiescence the summary must fingerprint like a from-scratch summary of
+// the maintained document. Run under -race.
+func TestSummaryBesideUpdates(t *testing.T) {
+	opts := Options{
+		BudgetBytes:     4096,
+		CompactDelay:    20 * time.Millisecond,
+		MinCompactElems: 32,
+		CompactFraction: 0.01,
+		Metrics:         obs.NewRegistry(),
+	}
+	st := mustStack(t, "r(a(b,b),a(b),c(d),c(d,d))", opts)
+	q := mustQuery(t, "//a{//b?}")
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	var failMsg atomic.Pointer[string]
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if c := eval.Count(st.Summary(), q, eval.Options{}); c.Empty || c.Selectivity <= 0 {
+					msg := "a summary taken beside updates answered no count"
+					failMsg.CompareAndSwap(nil, &msg)
+					return
+				}
+			}
+		}()
+	}
+
+	rng := testRNG(29)
+	for i := 0; i < 120; i++ {
+		randomOp(t, st, &rng)
+	}
+	st.Compact()
+	stop.Store(true)
+	wg.Wait()
+
+	if msg := failMsg.Load(); msg != nil {
+		t.Fatal(*msg)
+	}
+	if st.reg.Counter("tier.compactions").Value() == 0 || st.reg.Counter("tier.merges").Value() == 0 {
+		t.Fatal("no compaction or no merge ran beside the summaries")
+	}
+	want := sketch.FromStable(stable.Build(st.Doc())).Fingerprint()
+	if got := st.Summary().Fingerprint(); got != want {
+		t.Fatalf("quiescent summary fp %016x, rebuild fp %016x", got, want)
 	}
 }

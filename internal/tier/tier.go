@@ -103,6 +103,11 @@ type Stack struct {
 	epoch     uint64
 	deltaAbs  int // absorbed elements (unsigned) since the last compaction
 
+	// summary caches Summary's sketch, built when the stack's seq was
+	// summarySeq; nil until the first call.
+	summary    *sketch.Sketch
+	summarySeq uint64
+
 	view        atomic.Pointer[View]
 	compacting  atomic.Bool
 	compactDone chan struct{} // closed when the in-flight compaction publishes
@@ -152,6 +157,21 @@ func (s *Stack) Doc() *xmltree.Tree { return s.m.Doc() }
 // View returns the current immutable base+delta view. The returned value is
 // never mutated; successive calls may return different views.
 func (s *Stack) View() *View { return s.view.Load() }
+
+// Summary returns the count-stable summary of the live document as a
+// sketch: the maintainer's canonical synopsis through sketch.FromStable,
+// on which evaluation is exact (Section 4.3). It is built under the writer
+// lock on the first call after an update moved the stack's sequence
+// number, and otherwise served from cache, so a stack that is never asked
+// never builds it. The sketch is shared; callers must not mutate it.
+func (s *Stack) Summary() *sketch.Sketch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.summary == nil || s.summarySeq != s.seq {
+		s.summary, s.summarySeq = sketch.FromStable(s.m.CanonicalSynopsis()), s.seq
+	}
+	return s.summary
+}
 
 // Compacting reports whether a background compaction is in flight.
 func (s *Stack) Compacting() bool { return s.compacting.Load() }

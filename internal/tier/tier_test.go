@@ -10,6 +10,7 @@ import (
 	"treesketch/internal/eval"
 	"treesketch/internal/obs"
 	"treesketch/internal/query"
+	"treesketch/internal/sketch"
 	"treesketch/internal/stable"
 	"treesketch/internal/xmltree"
 )
@@ -114,6 +115,37 @@ func TestStackDeltaEstimateExactOnChainInsert(t *testing.T) {
 	// The base alone must still answer 2: it has not been compacted.
 	if info.BaseSelectivity != 2 || info.Delta != 2 {
 		t.Fatalf("contributions base=%v delta=%v, want 2+2", info.BaseSelectivity, info.Delta)
+	}
+}
+
+// TestSummaryCachedUntilUpdate: Summary builds the document's
+// count-stable summary, serves it from cache while the stack's sequence
+// number stands still (a refused update included), and rebuilds it once an
+// update moves it.
+func TestSummaryCachedUntilUpdate(t *testing.T) {
+	st := mustStack(t, "r(a(b),a(b))", testOpts())
+	first := st.Summary()
+	if st.Summary() != first {
+		t.Fatal("a second Summary with no update in between rebuilt the sketch")
+	}
+	if err := st.Delete(st.Doc().Root.OID); err == nil {
+		t.Fatal("deleted the document root")
+	}
+	if st.Summary() != first {
+		t.Fatal("a refused update rebuilt the summary")
+	}
+	if _, err := st.Insert(st.Doc().Root.OID, xmltree.MustCompact("a(b,b)")); err != nil {
+		t.Fatal(err)
+	}
+	next := st.Summary()
+	if next == first {
+		t.Fatal("the summary was served from cache after an insert")
+	}
+	if got, want := next.Fingerprint(), sketch.FromStable(stable.Build(st.Doc())).Fingerprint(); got != want {
+		t.Fatalf("summary fp %016x, rebuild fp %016x", got, want)
+	}
+	if c := eval.Count(next, mustQuery(t, "//a/b"), eval.Options{}); c.Selectivity != 4 {
+		t.Fatalf("summary counts //a/b as %v, want 4", c.Selectivity)
 	}
 }
 

@@ -74,6 +74,17 @@ func main() {
 	if *synopses == "" && *docs == "" {
 		fatal(errors.New("at least one of -synopsis or -doc is required"))
 	}
+	// One name table across both lists: a second dataset of a name would
+	// silently replace the first.
+	names := make(map[string]string)
+	synList, err := parseNamedList(*synopses, names)
+	if err != nil {
+		fatal(err)
+	}
+	docList, err := parseNamedList(*docs, names)
+	if err != nil {
+		fatal(err)
+	}
 	if err := obsFlags.Start(); err != nil {
 		fatal(err)
 	}
@@ -91,7 +102,8 @@ func main() {
 		defer rc.Stop()
 	}
 
-	for name, path := range parseNamedList(*synopses) {
+	for _, e := range synList {
+		name, path := e.name, e.path
 		sk, err := sketch.LoadFile(path)
 		if err != nil {
 			fatal(err)
@@ -99,7 +111,8 @@ func main() {
 		srv.AddSketch(name, sk)
 		fmt.Printf("tsserve: loaded %s from %s (%d nodes)\n", name, path, len(sk.Nodes))
 	}
-	for name, path := range parseNamedList(*docs) {
+	for _, e := range docList {
+		name, path := e.name, e.path
 		doc, err := xmltree.ParseFile(path)
 		if err != nil {
 			fatal(err)
@@ -167,10 +180,15 @@ func main() {
 	}
 }
 
-// parseNamedList splits "a=x.syn,b=y.syn" (or bare paths) into name->path.
-// Bare paths derive the dataset name from the filename stem.
-func parseNamedList(s string) map[string]string {
-	out := make(map[string]string)
+// namedPath is one dataset file of a -synopsis or -doc list.
+type namedPath struct{ name, path string }
+
+// parseNamedList splits "a=x.syn,b=y.syn" (or bare paths) into its entries,
+// in order. Bare paths derive the dataset name from the filename stem. Each
+// name is recorded in names (name -> path); a name already there is
+// refused with an error naming both paths.
+func parseNamedList(s string, names map[string]string) ([]namedPath, error) {
+	var out []namedPath
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -181,9 +199,13 @@ func parseNamedList(s string) map[string]string {
 			path = part
 			name = stem(part)
 		}
-		out[name] = path
+		if prev, dup := names[name]; dup {
+			return nil, fmt.Errorf("dataset name %q is given twice, for %s and %s; name one of them with name=path", name, prev, path)
+		}
+		names[name] = path
+		out = append(out, namedPath{name, path})
 	}
-	return out
+	return out, nil
 }
 
 // stem is the filename without directory or extension.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +22,12 @@ import (
 //
 // Traces are concurrency-safe: spans may be started and ended from the
 // goroutines a request fans out to.
+//
+// A trace keeps its spans, counters and labels in small arrays inside the
+// struct, so an ordinary request's trace allocates nothing for them; a
+// list that outgrows its array moves to the heap. Traces come from a pool:
+// the owner of a trace's last use hands it back with Release, and one never
+// released is collected like any other value.
 type Trace struct {
 	id    uint64
 	name  string
@@ -32,17 +37,50 @@ type Trace struct {
 	spanSeq atomic.Uint64
 
 	mu       sync.Mutex
-	spans    []SpanRecord
-	counters map[string]int64
-	labels   map[string]string
+	spans    []SpanRecord   // on spanBuf until it fills
+	counters []traceCounter // on counterBuf until it fills
+	labels   []traceLabel   // on labelBuf until it fills
 	total    time.Duration
 	finished bool
+
+	spanBuf    [8]SpanRecord
+	counterBuf [8]traceCounter
+	labelBuf   [2]traceLabel
 }
 
-// traceEpoch distinguishes trace IDs across process restarts; traceSeq
-// distinguishes them within a process.
+// traceCounter is one per-request counter of a trace.
+type traceCounter struct {
+	name string
+	n    int64
+}
+
+// traceLabel is one label of a trace.
+type traceLabel struct {
+	key, value string
+}
+
+// pooledSpans bounds the span storage a released trace keeps for its next
+// use. A live estimate records a plan, memo and emit span for the base and
+// for each delta tier evaluation, so its trace outgrows spanBuf; keeping
+// that slice spares the next such request the regrowth.
+const pooledSpans = 128
+
+// tracePool holds released traces for NewTrace to reuse.
+var tracePool = sync.Pool{New: func() any {
+	t := new(Trace)
+	t.spans, t.counters, t.labels = t.spanBuf[:0], t.counterBuf[:0], t.labelBuf[:0]
+	return t
+}}
+
+// traceSeqBits is the width of a trace ID's sequence number: IDs are unique
+// for 2^40 traces within a process. The 24 bits above it hold the epoch.
+const traceSeqBits = 40
+
+// traceEpoch distinguishes trace IDs across process restarts: the top 24
+// bits of a multiplicative hash of the start time, so every bit of the
+// clock reading counts. traceSeq distinguishes them within a process.
 var (
-	traceEpoch = uint64(time.Now().UnixNano())
+	traceEpoch = (uint64(time.Now().UnixNano()) * 0x9e3779b97f4a7c15) >> traceSeqBits
 	traceSeq   atomic.Uint64
 )
 
@@ -50,11 +88,34 @@ var (
 // free-form display text (typically the query source) retained in
 // snapshots and the slow-query flight recorder.
 func NewTrace(name string) *Trace {
-	return &Trace{
-		id:    (traceEpoch << 20) | (traceSeq.Add(1) & 0xfffff),
-		name:  name,
-		start: time.Now(),
+	t := tracePool.Get().(*Trace)
+	t.id = traceEpoch<<traceSeqBits | traceSeq.Add(1)&(1<<traceSeqBits-1)
+	t.name = name
+	t.start = time.Now()
+	return t
+}
+
+// Release returns t to the pool NewTrace draws from. Call it after the
+// last use of t, once every span of it has ended and no goroutine will
+// touch it again. Snapshots stay valid, since they share no storage with
+// the trace; this is why the flight recorder keeps snapshots, never
+// traces.
+func (t *Trace) Release() {
+	if t == nil {
+		return
 	}
+	t.name, t.reg = "", nil
+	t.spanSeq.Store(0)
+	t.spans = t.spans[:0]
+	if cap(t.spans) > pooledSpans {
+		t.spans = t.spanBuf[:0]
+	}
+	// Label values can be request text (a dataset parameter), which a
+	// pooled trace should not keep alive.
+	clear(t.labelBuf[:])
+	t.counters, t.labels = t.counterBuf[:0], t.labelBuf[:0]
+	t.total, t.finished = 0, false
+	tracePool.Put(t)
 }
 
 // NewTrace starts a trace like the package-level NewTrace whose spans also
@@ -72,7 +133,18 @@ func (t *Trace) IDString() string {
 	if t == nil {
 		return ""
 	}
-	return fmt.Sprintf("%016x", t.id)
+	return idString(t.id)
+}
+
+// idString renders id as 16 lower-case hex digits.
+func idString(id uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
 }
 
 // SpanRecord is one completed span of a trace: its ID and its timing
@@ -106,11 +178,14 @@ func (t *Trace) AddCounter(name string, n int64) {
 		return
 	}
 	t.mu.Lock()
-	if t.counters == nil {
-		t.counters = make(map[string]int64, 4)
+	defer t.mu.Unlock()
+	for i := range t.counters {
+		if t.counters[i].name == name {
+			t.counters[i].n += n
+			return
+		}
 	}
-	t.counters[name] += n
-	t.mu.Unlock()
+	t.counters = append(t.counters, traceCounter{name, n})
 }
 
 // SetLabel attaches a string label (a dataset name, a tenant, a shed
@@ -122,11 +197,14 @@ func (t *Trace) SetLabel(key, value string) {
 		return
 	}
 	t.mu.Lock()
-	if t.labels == nil {
-		t.labels = make(map[string]string, 2)
+	defer t.mu.Unlock()
+	for i := range t.labels {
+		if t.labels[i].key == key {
+			t.labels[i].value = value
+			return
+		}
 	}
-	t.labels[key] = value
-	t.mu.Unlock()
+	t.labels = append(t.labels, traceLabel{key, value})
 }
 
 // Finish stamps the trace's total duration (first call wins) and returns it.
@@ -155,8 +233,9 @@ type TraceSnapshot struct {
 	Labels       map[string]string `json:"labels,omitempty"`
 }
 
-// Snapshot freezes the trace. Unfinished traces report the time elapsed so
-// far as their total.
+// Snapshot freezes the trace into a copy that shares no storage with it,
+// so the snapshot outlives Release. Unfinished traces report the time
+// elapsed so far as their total.
 func (t *Trace) Snapshot() TraceSnapshot {
 	if t == nil {
 		return TraceSnapshot{}
@@ -168,7 +247,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		total = time.Since(t.start)
 	}
 	s := TraceSnapshot{
-		TraceID:      fmt.Sprintf("%016x", t.id),
+		TraceID:      idString(t.id),
 		Name:         t.name,
 		StartUnixNS:  t.start.UnixNano(),
 		TotalSeconds: total.Seconds(),
@@ -176,14 +255,14 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	}
 	if len(t.counters) > 0 {
 		s.Counters = make(map[string]int64, len(t.counters))
-		for k, v := range t.counters {
-			s.Counters[k] = v
+		for _, c := range t.counters {
+			s.Counters[c.name] = c.n
 		}
 	}
 	if len(t.labels) > 0 {
 		s.Labels = make(map[string]string, len(t.labels))
-		for k, v := range t.labels {
-			s.Labels[k] = v
+		for _, l := range t.labels {
+			s.Labels[l.key] = l.value
 		}
 	}
 	return s

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -99,6 +101,7 @@ func TestTraceNil(t *testing.T) {
 	if s := tr.Snapshot(); s.TraceID != "" || len(s.Spans) != 0 {
 		t.Errorf("nil snapshot = %+v, want zero value", s)
 	}
+	tr.Release()
 }
 
 func TestTraceContext(t *testing.T) {
@@ -128,6 +131,61 @@ func TestTraceIDsDistinct(t *testing.T) {
 			t.Fatalf("duplicate trace ID %x", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestTraceIDsUniqueAcrossSeqBoundaries pins trace IDs unique for traces
+// far apart in one process: 2^20 apart (where IDs once wrapped), 2^32 and
+// 2^40-1 apart, each ID 16 hex digits.
+func TestTraceIDsUniqueAcrossSeqBoundaries(t *testing.T) {
+	defer traceSeq.Store(traceSeq.Load())
+	for _, gap := range []uint64{1 << 20, 1 << 32, 1<<40 - 1} {
+		traceSeq.Store(1<<20 - 2)
+		a := NewTrace("q").IDString()
+		traceSeq.Store(1<<20 - 2 + gap)
+		b := NewTrace("q").IDString()
+		if a == b || len(a) != 16 || len(b) != 16 {
+			t.Errorf("traces %d apart: IDs %q and %q, want two different 16-digit IDs", gap, a, b)
+		}
+	}
+}
+
+// TestTraceRelease pins the pool's reset: a snapshot taken before Release
+// keeps spans, counters and labels, including those past the inline
+// arrays, and the next trace starts empty, feeding no registry, whether or
+// not the pool hands back the same trace.
+func TestTraceRelease(t *testing.T) {
+	tr := NewRegistry().NewTrace("first")
+	for i := range 20 {
+		tr.StartSpan("test.trace.phase").End()
+		tr.AddCounter(fmt.Sprintf("c%d", i), int64(i+1))
+		tr.SetLabel(fmt.Sprintf("l%d", i), "v")
+	}
+	tr.Finish()
+	snap := tr.Snapshot()
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Spans) != 20 || len(snap.Counters) != 20 || len(snap.Labels) != 20 {
+		t.Fatalf("snapshot holds %d spans, %d counters, %d labels; want 20 each", len(snap.Spans), len(snap.Counters), len(snap.Labels))
+	}
+	tr.Release()
+
+	next := NewTrace("second")
+	if s := next.Snapshot(); s.Name != "second" || len(s.Spans) != 0 || s.Counters != nil || s.Labels != nil || next.reg != nil {
+		t.Fatalf("fresh trace after Release = %+v (registry %p), want empty", s, next.reg)
+	}
+	sp := next.StartSpan("test.trace.other")
+	if sp.id != 1 {
+		t.Errorf("first span ID %d, want 1", sp.id)
+	}
+	sp.End()
+	next.AddCounter("c0", 100)
+	next.SetLabel("l0", "w")
+	next.Release()
+	if got, _ := json.Marshal(snap); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot changed after its trace was released and reused:\nbefore %s\nafter  %s", want, got)
 	}
 }
 

@@ -2,8 +2,10 @@ package query
 
 import "testing"
 
-// FuzzQueryParse checks the parser never panics and that accepted queries
-// round-trip through String/Parse to a fixed point.
+// FuzzQueryParse checks the parser never panics, that accepted queries
+// round-trip through String/Parse to a fixed point, and that Canonical
+// agrees with String: an accepted source without whitespace prints back
+// byte for byte.
 func FuzzQueryParse(f *testing.F) {
 	seeds := []string{
 		"//a",
@@ -28,6 +30,9 @@ func FuzzQueryParse(f *testing.F) {
 			return
 		}
 		printed := q.String()
+		if got := Canonical(q, src); got != printed {
+			t.Fatalf("Canonical(%q) = %q, String() = %q", src, got, printed)
+		}
 		q2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q) failed: %v", printed, src, err)

@@ -45,20 +45,32 @@ func MustParse(src string) *Query {
 	return q
 }
 
+// Canonical returns the canonical text of q, which Parse returned for src:
+// src itself when it holds no whitespace, since the grammar has no other
+// spelling of a query, and q.String() otherwise.
+func Canonical(q *Query, src string) string {
+	for i := 0; i < len(src); i++ {
+		if isSpace(src[i]) {
+			return q.String()
+		}
+	}
+	return src
+}
+
 type parser struct {
 	src string
 	pos int
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
+	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
+		p.pos++
 	}
+}
+
+// isSpace reports whether the parser skips b as whitespace.
+func isSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
 func (p *parser) edges() ([]*Edge, error) {

@@ -11,6 +11,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -143,7 +144,7 @@ func (q *Query) Renumber() {
 	i := 0
 	var rec func(n *Node)
 	rec = func(n *Node) {
-		n.Var = fmt.Sprintf("q%d", i)
+		n.Var = "q" + strconv.Itoa(i)
 		i++
 		for _, e := range n.Edges {
 			rec(e.Child)

@@ -67,16 +67,17 @@ const (
 )
 
 // acquire tries to win an eval slot, queueing within the request's deadline
-// budget if none is free. It returns a release func on admission, or
-// (nil, reason) when the request must be shed. The wait, if any, is recorded
-// as a "serve.admission" span on the trace and in the queue-wait window.
-func (g *admissionGate) acquire(ctx context.Context, tr *obs.Trace) (func(), string) {
+// budget if none is free. It returns "" on admission, after which the
+// caller owes one release, or the reason the request must be shed. The
+// wait, if any, is recorded as a "serve.admission" span on the trace and in
+// the queue-wait window.
+func (g *admissionGate) acquire(ctx context.Context, tr *obs.Trace) string {
 	// Fast path: a free slot means no queue bookkeeping and no clock reads
 	// beyond the span the trace keeps anyway.
 	select {
 	case g.sem <- struct{}{}:
 		g.mAdmitted.Inc()
-		return g.release, ""
+		return ""
 	default:
 	}
 
@@ -85,7 +86,7 @@ func (g *admissionGate) acquire(ctx context.Context, tr *obs.Trace) (func(), str
 	case g.queue <- struct{}{}:
 	default:
 		g.mShedFull.Inc()
-		return nil, shedQueueFull
+		return shedQueueFull
 	}
 
 	g.mQueued.Inc()
@@ -98,16 +99,17 @@ func (g *admissionGate) acquire(ctx context.Context, tr *obs.Trace) (func(), str
 		g.qm.Exit(time.Since(t0))
 		span.End()
 		g.mAdmitted.Inc()
-		return g.release, ""
+		return ""
 	case <-ctx.Done():
 		<-g.queue
 		g.qm.Exit(time.Since(t0))
 		span.End()
 		g.mShedDeadline.Inc()
-		return nil, shedDeadline
+		return shedDeadline
 	}
 }
 
+// release frees the eval slot an admitted request holds.
 func (g *admissionGate) release() { <-g.sem }
 
 // queueCap reports the gate's waiting-room capacity; zero means saturation

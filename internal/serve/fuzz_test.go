@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -28,14 +29,48 @@ var knownCodes = map[string]bool{
 	shedQueueFull: true, shedDeadline: true,
 }
 
+// FuzzEstimateParams checks the one-pass /estimate parameter reader
+// against the standard library: for any raw query string, each of the four
+// parameters it returns is what url.ParseQuery(raw).Get gives.
+func FuzzEstimateParams(f *testing.F) {
+	for _, raw := range []string{
+		"q=//a",
+		"dataset=xmark&q=%2F%2Fitem%5B%2F%2Fincategory%5D%7B%2F%2Fname%3F%7D",
+		"q=//a&k=2&mode=exact&dataset=static",
+		"q=//a+//b&q=//c",
+		"q&q=//a",
+		"q=%zz&q=//a",
+		"q=//a;k=2&q=//b",
+		"%71=//a&%6B=3",
+		"k=1&k=2&mode=&mode=exact",
+		"&&dataset=&dataset=x&",
+		"q=%2",
+		"=//a&q==//b",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, _ := url.ParseQuery(raw)
+		p := readEstimateParams(raw)
+		for _, c := range []struct{ key, got string }{
+			{"q", p.q}, {"dataset", p.dataset}, {"k", p.k}, {"mode", p.mode},
+		} {
+			if want := vals.Get(c.key); c.got != want {
+				t.Fatalf("raw %q: %s = %q, url.ParseQuery gives %q", raw, c.key, c.got, want)
+			}
+		}
+	})
+}
+
 // FuzzServe drives the two untrusted HTTP inputs, the raw query string of
 // GET /estimate and the body of POST /update, against a server with one
 // static dataset (synopsis plus document) and one live stack. Whatever the
 // input, the server must not panic or answer 500, every refusal must be a
 // JSON body with a registered code, every answered estimate must carry a
-// finite, non-negative selectivity, every answered exact-mode estimate
-// must equal eval.Exact over the dataset's current document, and fixed
-// probes in both modes must still answer afterwards.
+// finite, non-negative selectivity and echo the canonical form of its q
+// parameter, every answered exact-mode estimate must equal eval.Exact over
+// the dataset's current document, and fixed probes in both modes must
+// still answer afterwards.
 func FuzzServe(f *testing.F) {
 	seeds := []struct{ raw, body string }{
 		{"q=//a", `{"op":"insert","parent_oid":0,"subtree":"a(b)"}`},
@@ -76,14 +111,23 @@ func FuzzServe(f *testing.F) {
 
 		est := httptest.NewRequest(http.MethodGet, "/estimate", nil)
 		est.URL.RawQuery = raw
-		checkFuzzResponse(t, h, est, docs)
+		if code, er := checkFuzzResponse(t, h, est, docs); code == http.StatusOK {
+			vals, _ := url.ParseQuery(raw)
+			q, err := query.Parse(vals.Get("q"))
+			if err != nil {
+				t.Fatalf("raw %q answered 200, but its q %q does not parse: %v", raw, vals.Get("q"), err)
+			}
+			if er.Query != q.String() {
+				t.Fatalf("raw %q: echoed query %q, canonical form %q", raw, er.Query, q.String())
+			}
+		}
 		upd := httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body))
 		checkFuzzResponse(t, h, upd, nil)
 
 		for _, ds := range []string{"static", "live"} {
 			for _, mode := range []string{"approx", "exact"} {
 				probe := httptest.NewRequest(http.MethodGet, "/estimate?q=//a{//b?}&mode="+mode+"&dataset="+ds, nil)
-				if code := checkFuzzResponse(t, h, probe, docs); code != http.StatusOK {
+				if code, _ := checkFuzzResponse(t, h, probe, docs); code != http.StatusOK {
 					t.Fatalf("%s probe on %s after raw %q, body %q: status %d", mode, ds, raw, body, code)
 				}
 			}
@@ -92,9 +136,10 @@ func FuzzServe(f *testing.F) {
 }
 
 // checkFuzzResponse serves req and checks FuzzServe's invariants on the
-// answer, returning its status. docs maps each dataset to its current
-// document for estimate requests, and is nil for updates.
-func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map[string]*xmltree.Tree) int {
+// answer, returning its status and, for an answered estimate, its body.
+// docs maps each dataset to its current document for estimate requests,
+// and is nil for updates.
+func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map[string]*xmltree.Tree) (int, EstimateResponse) {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -104,7 +149,7 @@ func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map
 			if err := json.Unmarshal(w.Body.Bytes(), &ur); err != nil {
 				t.Fatalf("%s %s: 200 body not JSON: %v", req.Method, req.URL, err)
 			}
-			return w.Code
+			return w.Code, EstimateResponse{}
 		}
 		var er EstimateResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
@@ -122,7 +167,7 @@ func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map
 					req.Method, req.URL, er.Selectivity, er.Empty, ex.Tuples, ex.Empty)
 			}
 		}
-		return w.Code
+		return w.Code, er
 	}
 	if w.Code >= 500 && w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("%s %s: status %d: %s", req.Method, req.URL, w.Code, w.Body)
@@ -131,5 +176,5 @@ func checkFuzzResponse(t *testing.T, h http.Handler, req *http.Request, docs map
 	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !knownCodes[e.Code] {
 		t.Fatalf("%s %s: status %d body %q: want JSON with a registered code (err %v)", req.Method, req.URL, w.Code, w.Body, err)
 	}
-	return w.Code
+	return w.Code, EstimateResponse{}
 }

@@ -19,8 +19,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -452,6 +454,58 @@ const maxQueryBytes = 8 << 10
 // edges), used to convert a byte budget into a node budget.
 const resultNodeBytes = 64
 
+// estimateParams are the /estimate query parameters.
+type estimateParams struct {
+	q, dataset, k, mode string
+}
+
+// readEstimateParams reads the /estimate parameters from a raw query string
+// in one pass, with url.Values.Get's semantics on url.ParseQuery's result:
+// the first value of a key wins, keys and values are unescaped ('+' and
+// %XX), and a segment holding ';' or a bad escape is skipped. Unlike
+// ParseQuery it builds no map, and a parameter without escapes is a
+// substring of raw (url.QueryUnescape returns such a string as is).
+func readEstimateParams(raw string) estimateParams {
+	var (
+		p    estimateParams
+		seen uint8 // bit i: the i-th field is set
+	)
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(seg, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(seg, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		var (
+			dst *string
+			bit uint8
+		)
+		switch key {
+		case "q":
+			dst, bit = &p.q, 1
+		case "dataset":
+			dst, bit = &p.dataset, 2
+		case "k":
+			dst, bit = &p.k, 4
+		case "mode":
+			dst, bit = &p.mode, 8
+		}
+		if dst == nil || seen&bit != 0 {
+			continue
+		}
+		if value, err = url.QueryUnescape(value); err == nil {
+			*dst = value
+			seen |= bit
+		}
+	}
+	return p
+}
+
 // handleEstimate serves GET /estimate?q=<twig query>[&dataset=<name>]
 // [&k=<node budget>][&mode=approx|exact]: it admits the request through the
 // admission gate, parses the query, evaluates it under the request
@@ -490,8 +544,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	params := r.URL.Query()
-	qsrc := params.Get("q")
+	params := readEstimateParams(r.URL.RawQuery)
+	qsrc := params.q
 	if qsrc == "" {
 		s.fail(w, http.StatusBadRequest, codeMissingQuery, "", "missing q parameter")
 		return
@@ -502,6 +556,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := s.reg.NewTrace(qsrc)
+	defer tr.Release()
 	ctx = obs.ContextWithTrace(ctx, tr)
 
 	if s.draining.Load() {
@@ -510,12 +565,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.gate != nil {
-		release, reason := s.gate.acquire(ctx, tr)
-		if release == nil {
+		if reason := s.gate.acquire(ctx, tr); reason != "" {
 			s.shed(w, tr, reason, "server overloaded: "+reason)
 			return
 		}
-		defer release()
+		defer s.gate.release()
 	}
 	if s.injectDelay > 0 {
 		ds := tr.StartSpan("serve.inject_delay")
@@ -523,12 +577,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		ds.End()
 	}
 
-	limit, err := s.resultLimit(params.Get("k"))
+	limit, err := s.resultLimit(params.k)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, codeBadK, tr.IDString(), err.Error())
 		return
 	}
-	mode := params.Get("mode")
+	mode := params.mode
 	if mode == "" {
 		mode = "approx"
 	}
@@ -545,12 +599,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, codeParseError, tr.IDString(), fmt.Sprintf("parse: %v", err))
 		return
 	}
+	echo := query.Canonical(q, qsrc)
 
-	d, dsName, ok := s.resolve(params.Get("dataset"), false)
+	d, dsName, ok := s.resolve(params.dataset, false)
 	if !ok {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeUnknownDataset, tr.IDString(),
-			fmt.Sprintf("unknown dataset %q (have %v)", params.Get("dataset"), s.Datasets()))
+			fmt.Sprintf("unknown dataset %q (have %v)", params.dataset, s.Datasets()))
 		return
 	}
 	tr.SetLabel("dataset", dsName)
@@ -630,7 +685,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			TraceID: tr.IDString(),
 			Dataset: dsName,
 			Mode:    mode,
-			Query:   q.String(),
+			Query:   echo,
 		})
 		return
 	}
@@ -640,7 +695,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		TraceID:     tr.IDString(),
 		Dataset:     dsName,
 		Mode:        mode,
-		Query:       q.String(),
+		Query:       echo,
 		Selectivity: jsonSafe(sel),
 		ResultNodes: c.Nodes,
 		Empty:       c.Empty && sel == 0,
@@ -681,12 +736,14 @@ func (s *Server) overflow(w http.ResponseWriter, tr *obs.Trace, q *query.Query) 
 	})
 }
 
-// finishEstimate settles a computed answer against the deadline. The
-// deadline is enforced at phase boundaries rather than inside the
-// enumeration loops: a request that finished over budget is answered with
-// 503 so closed-loop clients see the overload, even though its work is
-// already done — unless the request ran in streaming mode and emitted at
-// least one node, in which case the partial answer plus its truncation
+// finishEstimate settles an answer against the deadline. Evaluation polls
+// the request context inside its enumeration loops, so a counted or batch
+// evaluation that runs out of budget arrives here canceled, with no
+// answer, and a streamed one arrives with the prefix it had emitted. A
+// request whose context has expired is answered with 503 so closed-loop
+// clients see the overload, even when its work finished just as the
+// deadline lapsed — unless the request ran in streaming mode and emitted
+// at least one node, in which case the partial answer plus its truncation
 // bound is worth more to the client than a retry hint, and goes out as a
 // 200 marked Partial. A streamed answer whose expansion Exhausted the
 // result graph is complete — the deadline merely lapsed after the work

@@ -81,6 +81,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	tr := s.reg.NewTrace("update")
+	defer tr.Release()
 	ctx = obs.ContextWithTrace(ctx, tr)
 
 	if s.draining.Load() {
@@ -89,12 +90,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.gate != nil {
-		release, reason := s.gate.acquire(ctx, tr)
-		if release == nil {
+		if reason := s.gate.acquire(ctx, tr); reason != "" {
 			s.shed(w, tr, reason, "server overloaded: "+reason)
 			return
 		}
-		defer release()
+		defer s.gate.release()
 	}
 
 	var req UpdateRequest
